@@ -13,20 +13,25 @@ special cases fall out of the configuration:
 
 All per-path state lives in parallel arrays (one row per path) so that every
 operation is applied to the whole survivor set in a handful of vector ops.
+An information bit selects before it copies: survivors are chosen from the
+children's metrics, states and ids, and only then is the SC bank gathered,
+once, from their parent rows, so it never holds more rows than the budget.
+Paths keep no histories: each information bit stores a backpointer (parent
+row, bit) per survivor, and the winner is read back by one traceback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .pac_core import PacCode, parity_table
-from .sc_engine import COMBINING_RULES, ContractViolationError, ScBank, ScScratch
+from .pac_core import PacCode, conv_transform, parity_table, rate_profile_insert
+from .sc_engine import COMBINING_RULES, ContractViolationError, ScBank
 
 __all__ = [
     "DecoderConfig",
-    "Path",
     "PathSet",
     "DecodeResult",
     "hard_decision",
@@ -34,7 +39,6 @@ __all__ = [
     "extend_frozen",
     "extend_info",
     "prune",
-    "select_winner",
     "decode",
 ]
 
@@ -120,20 +124,12 @@ def branch_metric(llr, u_hat, mode: str = "approximate"):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass
-class Path:
-    """Snapshot of a single decoder hypothesis."""
-
-    conv_state: tuple
-    metric: float
-    v_hist: np.ndarray
-    u_hist: np.ndarray
-    scratch: ScScratch
-    id: int
-
-
 class PathSet:
-    """The live decoder hypotheses, stored as parallel arrays (one row per path)."""
+    """The live decoder hypotheses, stored as parallel arrays (one row per path).
+
+    ``parents`` and ``bits`` hold, per information bit, each survivor's
+    parent row and decided bit; ``traceback`` reads a message back from them.
+    """
 
     def __init__(self, channel_llrs, code: PacCode, config: DecoderConfig):
         llrs = np.asarray(channel_llrs, dtype=float)
@@ -141,13 +137,15 @@ class PathSet:
             raise ValueError(f"expected {code.N} channel LLRs, got {llrs.size}")
         self.code = code
         self.config = config
-        self.bank = ScBank(llrs, combining=config.combining_rule, paths=1)
+        # no more than min(budget, 2^K) paths are ever live
+        cap = min(config.budget(code.m), 1 << code.K)
+        self.bank = ScBank(llrs, combining=config.combining_rule, capacity=cap)
         self.states = np.zeros(1, dtype=np.int64)
         self.metrics = np.zeros(1, dtype=float)
         self.ids = np.zeros(1, dtype=np.int64)
-        self.v_hist = np.zeros((1, code.N), dtype=np.int8)
-        self.u_hist = np.zeros((1, code.N), dtype=np.int8)
         self.next_id = 1
+        self.parents = []
+        self.bits = []
         self._ptab = parity_table(code.g)
         self._m = code.m
         self._approx = config.metric_mode == "approximate"
@@ -156,27 +154,19 @@ class PathSet:
     def size(self) -> int:
         return self.metrics.size
 
-    def path(self, i: int) -> Path:
-        """Materialize path i as a standalone snapshot (scratch included)."""
-        m = self.code.m
-        s = int(self.states[i])
-        bits = tuple((s >> (m - 1 - j)) & 1 for j in range(m))
-        return Path(
-            conv_state=bits,
-            metric=float(self.metrics[i]),
-            v_hist=self.v_hist[i].copy(),
-            u_hist=self.u_hist[i].copy(),
-            scratch=ScScratch._from_bank_row(self.bank, i),
-            id=int(self.ids[i]),
-        )
+    def ranking(self) -> np.ndarray:
+        """Rows best first: smallest metric, then smallest creation id."""
+        if self.size == 0:
+            raise ContractViolationError("no surviving paths to select from")
+        return np.lexsort((self.ids, self.metrics))
 
-    def _gather(self, rows) -> None:
-        self.bank.take(rows)
-        self.states = self.states[rows]
-        self.metrics = self.metrics[rows]
-        self.ids = self.ids[rows]
-        self.v_hist = self.v_hist[rows]
-        self.u_hist = self.u_hist[rows]
+    def traceback(self, row: int) -> np.ndarray:
+        """The information bits decided so far along the path that ends in ``row``."""
+        d = np.empty(len(self.bits), dtype=np.int8)
+        for j in range(len(self.bits) - 1, -1, -1):
+            d[j] = self.bits[j][row]
+            row = self.parents[j][row]
+        return d
 
 
 def extend_frozen(paths: PathSet, t: int) -> PathSet:
@@ -190,24 +180,23 @@ def extend_frozen(paths: PathSet, t: int) -> PathSet:
     paths.metrics += pen
     if paths._m:
         paths.states >>= 1
-    paths.v_hist[:, t] = 0
-    paths.u_hist[:, t] = u
     paths.bank.update_partial_sums(t, u)
     return paths
 
 
-def extend_info(paths: PathSet, t: int) -> PathSet:
-    """Split every path into a v_t = 0 original and a v_t = 1 copy (count doubles).
+def extend_info(paths: PathSet, t: int, observer=None) -> PathSet:
+    """Split every path into a v_t = 0 and a v_t = 1 child and keep the survivors.
 
-    Both children encode from the parent's pre-extension register state; the
-    copies are appended below the originals in parent order and receive fresh
-    creation ids.  Overflow of the survivor budget is handled by ``prune``.
+    Both children encode from the parent's pre-extension register state.
+    The path arrays are replaced by the children's (v = 0 children first, v = 1
+    children after them in parent order, with fresh creation ids), and
+    ``prune`` (given ``observer``) selects among them; only then are the
+    survivors' parent rows of the bank gathered and their bits committed.
     """
     lam = paths.bank.update_llrs(t)
     m = paths._m
-    P = paths.metrics.size
+    P = paths.size
     u0 = paths._ptab[paths.states]
-    u1 = u0 ^ 1
     if paths._approx:
         # the two children differ in u, so exactly one of them pays |lam|
         mag = np.abs(lam)
@@ -217,36 +206,34 @@ def extend_info(paths: PathSet, t: int) -> PathSet:
         z = (1.0 - 2.0 * u0) * lam
         pen0 = np.logaddexp(0.0, -z)
         pen1 = np.logaddexp(0.0, z)
-    paths.bank.duplicate()
+    s0 = paths.states >> 1 if m else paths.states
+    paths.states = np.concatenate([s0, s0 | (1 << (m - 1)) if m else s0])
     paths.metrics = np.concatenate([paths.metrics + pen0, paths.metrics + pen1])
     paths.ids = np.concatenate([paths.ids, np.arange(P, dtype=np.int64) + paths.next_id])
     paths.next_id += P
-    if m:
-        s0 = paths.states >> 1
-        paths.states = np.concatenate([s0, s0 | (1 << (m - 1))])
-    else:
-        paths.states = np.concatenate([paths.states, paths.states])
-    paths.v_hist = np.concatenate([paths.v_hist, paths.v_hist], axis=0)
-    paths.v_hist[:P, t] = 0
-    paths.v_hist[P:, t] = 1
-    paths.u_hist = np.concatenate([paths.u_hist, paths.u_hist], axis=0)
-    paths.u_hist[:P, t] = u0
-    paths.u_hist[P:, t] = u1
-    paths.bank.update_partial_sums(t, np.concatenate([u0, u1]))
+    keep = prune(paths, observer=observer)
+    parent = keep % P
+    bit = (keep >= P).astype(np.int8)
+    paths.bank.take(parent)
+    paths.bank.update_partial_sums(t, u0[parent] ^ bit)
+    paths.parents.append(parent)
+    paths.bits.append(bit)
     return paths
 
 
-def prune(paths: PathSet, config: DecoderConfig | None = None, observer=None) -> PathSet:
-    """Drop paths over the survivor budget; a no-op while the budget is not exceeded.
+def prune(paths: PathSet, config: DecoderConfig | None = None, observer=None) -> np.ndarray:
+    """Narrow the path arrays to the survivors; return the rows kept.
 
-    Global sorting keeps the list_size smallest-metric paths overall; local
-    sorting keeps the list_size smallest per register state.  Ties break on
-    creation id, and survivors are left ordered by (metric, id).
+    All rows are kept while within the budget.  Over it, global sorting keeps
+    the list_size smallest-metric paths overall and local sorting keeps the
+    list_size smallest per register state.  Ties break on creation id, and
+    after a cut survivors are ordered by (metric, id).  Only states, metrics
+    and ids are narrowed: gathering the bank is the caller's job.
+    ``observer(states, metrics, ids, keep)`` sees every cut.
     """
     cfg = config if config is not None else paths.config
-    cap = cfg.budget(paths.code.m)
-    if paths.size <= cap:
-        return paths
+    if paths.size <= cfg.budget(paths.code.m):
+        return np.arange(paths.size)
     if cfg.sorting == "global":
         order = np.lexsort((paths.ids, paths.metrics))
         keep = order[: cfg.list_size]
@@ -263,16 +250,10 @@ def prune(paths: PathSet, config: DecoderConfig | None = None, observer=None) ->
         keep = kept[np.lexsort((paths.ids[kept], paths.metrics[kept]))]
     if observer is not None:
         observer(paths.states, paths.metrics, paths.ids, keep)
-    paths._gather(keep)
-    return paths
-
-
-def select_winner(paths: PathSet) -> Path:
-    """The smallest-metric path (smallest creation id on ties)."""
-    if paths.size == 0:
-        raise ContractViolationError("no surviving paths to select from")
-    row = int(np.lexsort((paths.ids, paths.metrics))[0])
-    return paths.path(row)
+    paths.states = paths.states[keep]
+    paths.metrics = paths.metrics[keep]
+    paths.ids = paths.ids[keep]
+    return keep
 
 
 @dataclass
@@ -285,7 +266,6 @@ class DecodeResult:
     u_hat: np.ndarray
     survivor_metrics: np.ndarray = field(repr=False, default=None)
     survivor_ids: np.ndarray = field(repr=False, default=None)
-    survivor_v: np.ndarray = field(repr=False, default=None)
 
 
 def decode(channel_llrs, code: PacCode, config: DecoderConfig,
@@ -293,9 +273,9 @@ def decode(channel_llrs, code: PacCode, config: DecoderConfig,
     """Run the configured trellis decoder over one block of channel LLRs.
 
     Decoding starts from a single zero-state, zero-metric path and walks
-    t = 0 .. N-1, extending at every index and pruning after information
-    indices.  Returns the winner's message bits (its v history restricted to
-    the information set) together with its final metric.
+    t = 0 .. N-1, extending at every index and selecting survivors at
+    information indices.  Returns the winner's message bits (read back by
+    traceback), its v and u = conv(v, g), and its final metric.
 
     ``step_hook(t, paths)`` is called after each bit; ``prune_observer``
     receives (t, states, metrics, ids, kept_rows) at every pruning event.
@@ -308,21 +288,20 @@ def decode(channel_llrs, code: PacCode, config: DecoderConfig,
         if frozen[t]:
             extend_frozen(paths, t)
         else:
-            extend_info(paths, t)
             if prune_observer is not None:
-                observer = lambda s, mt, ii, keep, _t=t: prune_observer(_t, s, mt, ii, keep)
-            prune(paths, observer=observer)
+                observer = partial(prune_observer, t)
+            extend_info(paths, t, observer)
         if step_hook is not None:
             step_hook(t, paths)
-    order = np.lexsort((paths.ids, paths.metrics))
+    order = paths.ranking()
     win = int(order[0])
-    info = np.fromiter(code.A, dtype=np.int64, count=code.K)
+    d_hat = paths.traceback(win)
+    v_hat = rate_profile_insert(d_hat, code.A, code.N)
     return DecodeResult(
-        d_hat=paths.v_hist[win, info].copy(),
+        d_hat=d_hat,
         metric=float(paths.metrics[win]),
-        v_hat=paths.v_hist[win].copy(),
-        u_hat=paths.u_hist[win].copy(),
+        v_hat=v_hat,
+        u_hat=conv_transform(v_hat, code.g),
         survivor_metrics=paths.metrics[order].copy(),
         survivor_ids=paths.ids[order].copy(),
-        survivor_v=paths.v_hist[order].copy(),
     )

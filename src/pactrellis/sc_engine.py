@@ -3,12 +3,16 @@
 The factor graph has n+1 stages; stage n holds the N channel LLRs and stage 0
 produces the per-bit decision LLR.  Only one block per stage is ever live, so
 LLRs are stored compactly: stage s occupies slots [2^s - 1, 2^{s+1} - 1) of a
-(2N - 1)-slot buffer.  Partial sums keep the full (n+1) x N layout so that the
-stage-n row equals the polar transform of the committed bits once all N bits
-are in.
+(2N - 1)-slot buffer.  Partial sums use the same layout (Tal and Vardy's
+per-stage arrays): stage s holds only its pending left block, the one the next
+g-update at that stage reads.  Committing bit t folds the new sums up through
+the stages of the set low bits of t and parks the result at the first stage
+whose bit is clear; after bit N-1 the stage-n slots hold the polar transform
+of the committed bits.
 
 ``ScBank`` holds one scratch row per decoder path and applies every update to
-all rows at once; ``ScScratch`` is the single-path view of a one-row bank.
+all rows at once; pruning and path splitting gather rows with ``take``.
+``ScScratch`` is the single-path view of a one-row bank.
 """
 
 from __future__ import annotations
@@ -63,22 +67,30 @@ class ScBank:
     """Batched SC scratch: one row of intermediate LLRs and partial sums per path.
 
     Updates follow the standard in-order schedule: ``update_llrs(t)`` then
-    ``update_partial_sums(t, u)`` for t = 0 .. N-1.  Rows may be duplicated
-    (path splitting) or gathered (pruning) between the two calls.
+    ``update_partial_sums(t, u)`` for t = 0 .. N-1.  Rows may be gathered with
+    ``take`` (a row may be taken more than once) between the two calls.
+    ``capacity`` reserves room for that many rows, so that gathers within it
+    allocate nothing (fresh arrays at every information bit cost page faults
+    under glibc's default malloc settings).
     """
 
-    def __init__(self, channel_llrs, combining: str = "min-sum", paths: int = 1):
+    def __init__(self, channel_llrs, combining: str = "min-sum", paths: int = 1,
+                 capacity: int = 1):
         llrs = np.asarray(channel_llrs, dtype=float)
         N = llrs.size
         if N < 1 or N & (N - 1):
             raise ValueError(f"channel LLR length must be a power of two, got {N}")
         self.N = N
         self.n = N.bit_length() - 1
-        self.combining = combining
         self._f = _combiner(combining)
-        self.llr = np.zeros((paths, 2 * N - 1), dtype=float)
+        # two sides per buffer: the live rows are a prefix of one side, and
+        # take gathers into the other
+        self._side = 0
+        self._llr_buf, self._beta_buf = self._buffers(max(paths, capacity))
+        self.llr, self.beta = self._llr_buf[0, :paths], self._beta_buf[0, :paths]
+        self.llr[:, : N - 1] = 0.0
         self.llr[:, N - 1 :] = llrs
-        self.beta = np.zeros((paths, self.n + 1, N), dtype=np.int8)
+        self.beta[:] = 0
         # _t: next undecided bit index; _pending: update_llrs done, commit outstanding
         self._t = 0
         self._pending = False
@@ -90,8 +102,8 @@ class ScBank:
     def update_llrs(self, t: int) -> np.ndarray:
         """Recompute the factor-graph nodes needed for bit t; return decision LLRs (one per path).
 
-        The returned vector is a view, valid until the next bank mutation of
-        the LLR buffer (i.e. until the next ``update_llrs``).
+        The returned vector is a view, valid until the next ``update_llrs``
+        or ``take``.
         """
         if self._pending or t != self._t:
             raise ContractViolationError(
@@ -106,10 +118,9 @@ class ScBank:
             top = ((t & -t)).bit_length() - 1  # lowest set bit: g-update stage
             w = 1 << top
             o, op = w - 1, 2 * w - 1
-            left = (t >> (top + 1)) << (top + 1)
             a = llr[:, op : op + w]
             llr[:, o : o + w] = llr[:, op + w : op + 2 * w] + (
-                1.0 - 2.0 * self.beta[:, top, left : left + w]
+                1.0 - 2.0 * self.beta[:, o : o + w]
             ) * a
         for s in range(top - 1, -1, -1):
             w = 1 << s
@@ -126,33 +137,42 @@ class ScBank:
             raise ContractViolationError(
                 f"update_partial_sums({t}) requires update_llrs({self._t}) first"
             )
+        # bit t closes a right block at each stage below top (its trailing one
+        # bits); each folds into that stage's left block, filling the merged
+        # block from its right end, and the merged block parks at stage top
+        top = (~t & (t + 1)).bit_length() - 1  # trailing one bits of t
         beta = self.beta
-        beta[:, 0, t] = np.asarray(u_hat, dtype=np.int8)
-        s = 0
-        while s < self.n and (t >> s) & 1:
-            half = 1 << s
-            o = (t >> (s + 1)) << (s + 1)
-            beta[:, s + 1, o : o + half] = (
-                beta[:, s, o : o + half] ^ beta[:, s, o + half : o + 2 * half]
+        end = (2 << top) - 1
+        beta[:, end - 1] = np.asarray(u_hat, dtype=np.int8)
+        for s in range(top):
+            w = 1 << s
+            np.bitwise_xor(
+                beta[:, w - 1 : 2 * w - 1], beta[:, end - w : end],
+                out=beta[:, end - 2 * w : end - w],
             )
-            beta[:, s + 1, o + half : o + 2 * half] = beta[:, s, o + half : o + 2 * half]
-            s += 1
         self._pending = False
         self._t = t + 1
 
-    def duplicate(self) -> None:
-        """Append a copy of every row (copies land below the originals, same order)."""
-        self.llr = np.concatenate([self.llr, self.llr], axis=0)
-        self.beta = np.concatenate([self.beta, self.beta], axis=0)
+    def _buffers(self, rows: int):
+        shape = (2, rows, 2 * self.N - 1)
+        return np.empty(shape), np.empty(shape, dtype=np.int8)
 
     def take(self, rows) -> None:
-        """Keep only the given rows, in the given order."""
-        self.llr = self.llr[rows]
-        self.beta = self.beta[rows]
+        """Keep only the given rows, in the given order (repeats allowed)."""
+        rows = np.asarray(rows, dtype=np.intp)
+        k = rows.size
+        if k and (rows.min() < 0 or rows.max() >= self.n_paths):
+            raise IndexError(f"bank rows must lie in [0, {self.n_paths})")
+        if self._llr_buf.shape[1] < k:
+            self._llr_buf, self._beta_buf = self._buffers(k)
+        side = self._side = self._side ^ 1
+        # indices are checked above; mode="clip" lets np.take write into out unbuffered
+        self.llr = np.take(self.llr, rows, axis=0, out=self._llr_buf[side, :k], mode="clip")
+        self.beta = np.take(self.beta, rows, axis=0, out=self._beta_buf[side, :k], mode="clip")
 
     def stage_n_sums(self) -> np.ndarray:
         """Stage-n partial sums; equals the polar transform of the committed bits after N commits."""
-        return self.beta[:, self.n, :].copy()
+        return self.beta[:, self.N - 1 :].copy()
 
 
 class ScScratch:
@@ -164,18 +184,6 @@ class ScScratch:
 
     def __init__(self, channel_llrs, combining: str = "min-sum"):
         self._bank = ScBank(channel_llrs, combining=combining, paths=1)
-
-    @classmethod
-    def _from_bank_row(cls, bank: ScBank, row: int) -> "ScScratch":
-        out = cls.__new__(cls)
-        sub = ScBank.__new__(ScBank)
-        sub.N, sub.n = bank.N, bank.n
-        sub.combining, sub._f = bank.combining, bank._f
-        sub.llr = bank.llr[row : row + 1].copy()
-        sub.beta = bank.beta[row : row + 1].copy()
-        sub._t, sub._pending = bank._t, bank._pending
-        out._bank = sub
-        return out
 
     @property
     def N(self) -> int:

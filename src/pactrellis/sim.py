@@ -7,9 +7,10 @@ message bits via ``rng.integers(0, 2, size=K, dtype=int8)``, then the N noise
 samples via ``sqrt(sigma2) * rng.standard_normal(N)``.
 
 A point stops at the smallest trial prefix containing ``min_frame_errors``
-frame errors (or at ``max_trials``).  Workers evaluate fixed-size chunks of
-the trial grid speculatively; the reported prefix is the same whatever the
-worker count, so results are byte-identical for any ``workers`` value.
+frame errors (or at ``max_trials``).  A serial run decodes exactly that
+prefix; workers evaluate fixed-size chunks of the trial grid speculatively.
+The reported prefix is the same whatever the worker count, so results are
+byte-identical for any ``workers`` value.
 """
 
 from __future__ import annotations
@@ -113,11 +114,14 @@ def run_trial(plan: SimPlan, snr_index: int, trial_index: int):
     return errs > 0, errs
 
 
-def _run_chunk(plan: SimPlan, snr_index: int, start: int, count: int):
+def _run_chunk(plan: SimPlan, snr_index: int, start: int, count: int, stop_at: int = 0):
+    """Run ``count`` trials from ``start``, or up to the one that makes ``stop_at`` errors."""
     flags = np.zeros(count, dtype=bool)
     errs = np.zeros(count, dtype=np.int64)
     for i in range(count):
         flags[i], errs[i] = run_trial(plan, snr_index, start + i)
+        if flags[i] and flags[: i + 1].sum() == stop_at:
+            return flags[: i + 1], errs[: i + 1]
     return flags, errs
 
 
@@ -135,7 +139,8 @@ def run_point(plan: SimPlan, snr_index: int, workers: int = 1, executor=None) ->
 
     if workers <= 1 and executor is None:
         for start, count in grid:
-            f, e = _run_chunk(plan, snr_index, start, count)
+            f, e = _run_chunk(plan, snr_index, start, count,
+                              plan.min_frame_errors - collected_errors)
             flags_parts.append(f)
             errs_parts.append(e)
             collected_errors += int(f.sum())

@@ -14,9 +14,14 @@ from pactrellis.decoder import (
     extend_info,
     hard_decision,
     prune,
-    select_winner,
 )
-from pactrellis.pac_core import PacCode, conv_transform, pac_encode
+from pactrellis.pac_core import (
+    PacCode,
+    conv_transform,
+    pac_encode,
+    polar_transform,
+    rate_profile_insert,
+)
 from pactrellis.sc_engine import ContractViolationError, ScBank, ScScratch
 
 
@@ -25,17 +30,22 @@ def noiseless_llrs(code, d, mag=60.0):
 
 
 def build_pathset(code, metrics, states, ids=None):
-    """Hand-built PathSet for prune/select tests; scratch rows are placeholders."""
+    """Hand-built PathSet for prune/select tests; bank rows are placeholders."""
     ps = PathSet(np.ones(code.N), code, DecoderConfig())
     P = len(metrics)
     ps.bank = ScBank(np.ones(code.N), paths=P)
     ps.metrics = np.asarray(metrics, dtype=float)
     ps.states = np.asarray(states, dtype=np.int64)
     ps.ids = np.arange(P, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
-    ps.v_hist = np.zeros((P, code.N), dtype=np.int8)
-    ps.u_hist = np.zeros((P, code.N), dtype=np.int8)
     ps.next_id = P
     return ps
+
+
+def final_pathset(llrs, code, cfg):
+    """Decode and return the survivor set as it stands after the last bit."""
+    seen = []
+    decode(llrs, code, cfg, step_hook=lambda t, ps: seen.append(ps) if t == code.N - 1 else None)
+    return seen[0]
 
 
 ALL_CONFIGS = [
@@ -111,7 +121,8 @@ class TestExtendFrozen:
         ps = PathSet(np.array([3.0, 5.0]), code, DecoderConfig())
         extend_frozen(ps, 0)  # decision LLR f(3,5) = +3, u = 0 matches
         assert ps.metrics[0] == 0.0
-        assert ps.u_hist[0, 0] == 0 and ps.v_hist[0, 0] == 0
+        # stage 0 holds the committed u of bit 0; a frozen bit records no backpointer (v = 0)
+        assert ps.bank.beta[0, 0] == 0 and ps.bits == []
 
     def test_disagreeing_llr_charges_magnitude(self):
         code = PacCode(n=1, K=1, A=(1,), g=(1, 1))
@@ -119,7 +130,7 @@ class TestExtendFrozen:
         ps.states[0] = 1  # feedback tap forces u = 1 against lambda = +3
         extend_frozen(ps, 0)
         assert ps.metrics[0] == 3.0
-        assert ps.u_hist[0, 0] == 1
+        assert ps.bank.beta[0, 0] == 1
 
     def test_path_count_unchanged(self, rng):
         code = PacCode.rm(3, 4, 0o3)
@@ -164,16 +175,19 @@ class TestExtendInfo:
         ps = PathSet(np.array([1.0, 1.0]), code, DecoderConfig("global", 4))
         extend_info(ps, 0)
         assert list(ps.states) == [0, 1]
-        assert list(ps.u_hist[:, 0]) == [0, 1]
-        assert list(ps.v_hist[:, 0]) == [0, 1]
+        assert list(ps.bank.beta[:, 0]) == [0, 1]  # committed u of bit 0, per row
+        assert [ps.traceback(i)[0] for i in range(ps.size)] == [0, 1]
+        assert list(ps.parents[0]) == [0, 0] and list(ps.bits[0]) == [0, 1]
 
 
 class TestPrune:
+    # prune narrows states, metrics and ids and returns the kept rows; the bank is the caller's
     def test_global_keeps_k_smallest(self):
         code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
         ps = build_pathset(code, [5.0, 1.0, 8.0, 3.0, 2.0, 7.0, 4.0, 6.0], [0] * 8)
-        prune(ps, DecoderConfig("global", 4))
+        keep = prune(ps, DecoderConfig("global", 4))
         assert list(ps.metrics) == [1.0, 2.0, 3.0, 4.0]
+        assert list(keep) == [1, 4, 3, 6]
 
     def test_local_per_state_minimum(self):
         code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
@@ -185,8 +199,9 @@ class TestPrune:
     def test_identity_below_budget(self):
         code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
         ps = build_pathset(code, [2.0, 1.0], [0, 1])
-        prune(ps, DecoderConfig("local", 1))  # budget 2^1 * 1 = 2, not exceeded
+        keep = prune(ps, DecoderConfig("local", 1))  # budget 2^1 * 1 = 2, not exceeded
         assert list(ps.metrics) == [2.0, 1.0]
+        assert list(keep) == [0, 1]
 
     def test_tie_breaks_on_id(self):
         code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
@@ -196,24 +211,25 @@ class TestPrune:
 
 
 class TestSelectWinner:
+    """The winner rule of ``decode``: the first row of ``PathSet.ranking``."""
+
     def test_single_and_minimum(self):
         code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
         ps = build_pathset(code, [3.2], [0])
-        assert select_winner(ps).metric == 3.2
+        assert ps.metrics[ps.ranking()[0]] == 3.2
         ps = build_pathset(code, [3.2, 1.1, 7.0], [0, 0, 0])
-        assert select_winner(ps).metric == 1.1
+        assert ps.metrics[ps.ranking()[0]] == 1.1
 
     def test_tie_goes_to_lower_id(self):
         code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
         ps = build_pathset(code, [1.1, 1.1], [0, 0], ids=[4, 3])
-        assert select_winner(ps).id == 3
+        assert ps.ids[ps.ranking()[0]] == 3
 
     def test_empty_set_is_contract_violation(self):
         code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
-        ps = build_pathset(code, [1.0], [0])
-        ps._gather(np.array([], dtype=np.int64))
+        ps = build_pathset(code, [], [])
         with pytest.raises(ContractViolationError):
-            select_winner(ps)
+            ps.ranking()
 
 
 class TestDecode:
@@ -315,28 +331,56 @@ class TestDecode:
                 assert np.array_equal(decode(c * llrs, code, cfg).v_hat, base.v_hat)
 
     def test_path_snapshot_invariants(self, rng):
+        # every survivor's traced-back v, register state and committed sums agree
         code = PacCode.rm(4, 8, 0o7)
         d, llrs = make_trial(code, 2.0, rng)
-        ps = PathSet(llrs, code, DecoderConfig("local", 2))
-        frozen = np.ones(code.N, dtype=bool)
-        frozen[list(code.A)] = False
-        for t in range(code.N):
-            if frozen[t]:
-                extend_frozen(ps, t)
-            else:
-                extend_info(ps, t)
-                prune(ps)
+        ps = final_pathset(llrs, code, DecoderConfig("local", 2))
+        m = code.m
         for i in range(ps.size):
-            p = ps.path(i)
-            assert np.array_equal(p.u_hist, conv_transform(p.v_hist, code.g))
-            state, m = 0, code.m
-            for bit in p.v_hist:
+            v = rate_profile_insert(ps.traceback(i), code.A, code.N)
+            u = conv_transform(v, code.g)
+            state = 0
+            for bit in v:
                 state = (state >> 1) | (int(bit) << (m - 1))
-            assert p.conv_state == tuple((state >> (m - 1 - j)) & 1 for j in range(m))
-            # committed partial sums at the top stage match the winner's u encoding
-            from pactrellis.pac_core import polar_transform
+            assert ps.states[i] == state
+            assert np.array_equal(ps.bank.stage_n_sums()[i], polar_transform(u))
 
-            assert np.array_equal(p.scratch.stage_n_sums(), polar_transform(p.u_hist))
+    @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"{c.sorting}-L{c.list_size}")
+    def test_bank_never_exceeds_budget(self, cfg, rng):
+        # survivors are chosen before the bank is gathered: even while a prune
+        # cuts 2P candidates down, the bank holds no more than the budget
+        code = PacCode.rm(6, 32, 0o7)
+        cap = cfg.budget(code.m)
+        live, rows, cuts = [], [], []
+
+        def hook(t, ps):
+            live[:] = [ps]
+            assert ps.bank.llr.shape == ps.bank.beta.shape == (ps.size, 2 * code.N - 1)
+            rows.append(ps.bank.llr.shape[0])
+
+        def observer(t, states, metrics, ids, keep):
+            cuts.append(t)
+            assert live[0].bank.llr.shape[0] <= cap < states.size
+
+        d, llrs = make_trial(code, 1.0, rng)
+        decode(llrs, code, cfg, step_hook=hook, prune_observer=observer)
+        assert len(rows) == code.N and max(rows) == cap
+        assert cuts
+
+    @pytest.mark.parametrize("mode", ["approximate", "exact"])
+    @pytest.mark.parametrize("rule", ["min-sum", "exact"])
+    def test_metric_equals_forced_path_metric(self, mode, rule, rng):
+        # the winner's metric is the forced-path metric of its u_hat on a one-row scratch
+        code = PacCode.rm(5, 16, 0o33)
+        for cfg in (DecoderConfig("global", 4, mode, rule), DecoderConfig("local", 2, mode, rule)):
+            d, llrs = make_trial(code, 1.0, rng)
+            res = decode(llrs, code, cfg)
+            sc = ScScratch(llrs, combining=rule)
+            total = 0.0
+            for t in range(code.N):
+                total += branch_metric(sc.update_llrs(t), int(res.u_hat[t]), mode)
+                sc.update_partial_sums(t, int(res.u_hat[t]))
+            assert res.metric == pytest.approx(total, rel=1e-12, abs=1e-9)
 
     def test_rejects_wrong_llr_length(self):
         code = PacCode.rm(4, 8, 0o3)

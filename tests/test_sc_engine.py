@@ -78,6 +78,20 @@ class TestPartialSumDuality:
             sc.update_partial_sums(t, int(u[t]))
         assert np.array_equal(sc.stage_n_sums(), polar_transform(u))
 
+    @pytest.mark.parametrize("N", [2, 8, 64])
+    def test_g_update_reads_left_block_sums(self, N, rng):
+        # before bit t, the compact slots of stage top (t's lowest set bit) hold
+        # the partial sums of the left block u[t - 2^top : t] at that stage
+        u = rng.integers(0, 2, N, dtype=np.int8)
+        sc = ScScratch(rng.normal(0, 1, N))
+        assert sc.beta.shape == (2 * N - 1,)
+        for t in range(N):
+            if t:
+                w = t & -t
+                assert np.array_equal(sc.beta[w - 1 : 2 * w - 1], polar_transform(u[t - w : t]))
+            sc.update_llrs(t)
+            sc.update_partial_sums(t, int(u[t]))
+
     def test_all_zero_commits(self):
         sc = ScScratch(np.ones(8))
         for t in range(8):
@@ -124,7 +138,7 @@ class TestBankBatching:
         llrs = rng.normal(0, 1, 8)
         bank = ScBank(llrs, paths=1)
         bank.update_llrs(0)
-        bank.duplicate()
+        bank.take(np.array([0, 0]))
         bank.update_partial_sums(0, np.array([0, 1], dtype=np.int8))
         lam = bank.update_llrs(1)
         # row decisions diverge exactly as two independent scratches would
@@ -137,11 +151,30 @@ class TestBankBatching:
     def test_take_reorders_rows(self, rng):
         bank = ScBank(rng.normal(0, 1, 4), paths=1)
         bank.update_llrs(0)
-        bank.duplicate()
+        bank.take(np.array([0, 0]))
         bank.update_partial_sums(0, np.array([0, 1], dtype=np.int8))
         before = bank.beta.copy()
         bank.take(np.array([1, 0]))
         assert np.array_equal(bank.beta, before[[1, 0]])
+
+    def test_take_within_and_beyond_capacity(self, rng):
+        # gathers alternate between two reserved buffers and grow past the capacity
+        bank = ScBank(rng.normal(0, 1, 8), paths=1, capacity=4)
+        bank.update_llrs(0)
+        for rows in ([0, 0], [1, 0, 1, 0], [3, 2, 1, 0, 0, 1], [5, 4]):
+            # tag each row so that the gathered order shows
+            bank.llr[:, 0] = np.arange(bank.n_paths)
+            bank.beta[:, 0] = np.arange(bank.n_paths) % 2
+            llr, beta = bank.llr.copy(), bank.beta.copy()
+            bank.take(np.array(rows))
+            assert np.array_equal(bank.llr, llr[rows])
+            assert np.array_equal(bank.beta, beta[rows])
+
+    def test_take_rejects_out_of_range_rows(self, rng):
+        bank = ScBank(rng.normal(0, 1, 4), paths=2)
+        for rows in ([2], [0, -1]):
+            with pytest.raises(IndexError):
+                bank.take(np.array(rows))
 
     def test_noiseless_bank_recovers_bits(self, rng):
         # decoding with huge-magnitude true-codeword LLRs recovers u exactly

@@ -1,5 +1,6 @@
 import pytest
 
+from pactrellis import sim
 from pactrellis.decoder import DecoderConfig
 from pactrellis.pac_core import PacCode
 from pactrellis.sim import (
@@ -66,6 +67,22 @@ class TestRunPoint:
         # the stopping trial itself is an error
         err, _ = run_trial(plan, 0, point.trials - 1)
         assert err
+
+    @pytest.mark.parametrize("snr, min_errors", [(2.0, 15), (0.0, 5), (30.0, 1)])
+    def test_serial_decodes_only_reported_trials(self, monkeypatch, snr, min_errors):
+        # a serial run stops decoding at the stopping trial, mid-chunk included
+        calls = []
+
+        def counting_trial(plan, snr_index, trial_index):
+            calls.append(trial_index)
+            return run_trial(plan, snr_index, trial_index)
+
+        plan = small_plan(snr_points=(snr,), min_frame_errors=min_errors)
+        expected = run_point(plan, 0)
+        monkeypatch.setattr(sim, "run_trial", counting_trial)
+        point = run_point(plan, 0, workers=1)
+        assert same_point(point, expected)
+        assert calls == list(range(point.trials))
 
     def test_trial_reproducible_in_isolation(self):
         plan = small_plan(snr_points=(1.0,))
