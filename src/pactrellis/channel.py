@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +18,7 @@ class ChannelParams:
 
     ebno_db: float
     rate: float
-    sigma2: float = None
+    sigma2: float = field(init=False)
 
     def __post_init__(self):
         if not 0 < self.rate <= 1:

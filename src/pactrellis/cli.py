@@ -1,7 +1,8 @@
 """Command-line front end: encode, decode, simulate, latency, profile.
 
-Exit codes: 0 on success, 2 on usage errors (bad flags or flag combinations),
-3 on runtime failures.
+Exit codes: 0 on success, 2 on usage errors (bad flags, flag combinations or
+input values, such as non-finite LLRs or SNR points), 3 on runtime failures
+(I/O errors, a worker process that died).
 """
 
 from __future__ import annotations
@@ -9,12 +10,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
 from . import sim
-from .decoder import DecoderConfig, decode
-from .pac_core import PacCode, load_code_spec, parse_gen, rm_rate_profile
+from .decoder import _DECODER_NAMES, METRIC_MODES, SORTING_MODES, DecoderConfig, decode
+from .pac_core import PacCode, load_code_spec, parse_gen, parse_profile, rm_rate_profile
+from .sc_engine import COMBINING_RULES
 from .sorter import latency_report
 
 
@@ -46,33 +49,23 @@ def _resolve_code(args) -> PacCode:
     if args.k is None:
         raise UsageError("--k is required")
     g = parse_gen(args.gen)
-    if args.profile == "rm":
-        A = rm_rate_profile(n, args.k)
-    elif args.profile.startswith("file:"):
-        with open(args.profile[len("file:"):]) as fh:
-            A = tuple(int(tok) for tok in fh.read().split())
-    else:
-        raise UsageError(f"--profile must be 'rm' or 'file:<path>', got {args.profile!r}")
-    return PacCode(n=n, K=args.k, A=A, g=g)
+    return PacCode(n=n, K=args.k, A=parse_profile(args.profile, n, args.k), g=g)
 
 
 def _add_decoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--decoder", choices=("sc", "scl", "va", "lva"),
+    p.add_argument("--decoder", choices=tuple(_DECODER_NAMES),
                    help="decoder name (shorthand for --sort/--list)")
-    p.add_argument("--sort", choices=("local", "global"), help="path sorting strategy")
+    p.add_argument("--sort", choices=SORTING_MODES, help="path sorting strategy")
     p.add_argument("--list", type=int, dest="list_size",
                    help="survivors kept per sort (per state when local)")
-    p.add_argument("--metric", choices=("approximate", "exact"), default="approximate")
-    p.add_argument("--combining", choices=("min-sum", "exact"), default="min-sum")
+    p.add_argument("--metric", choices=METRIC_MODES, default="approximate")
+    p.add_argument("--combining", choices=COMBINING_RULES, default="min-sum")
 
 
 def _resolve_decoder(args, code: PacCode) -> DecoderConfig:
     sorting, list_size = args.sort, args.list_size
     if args.decoder:
-        name_sort, name_list = {
-            "sc": ("global", 1), "scl": ("global", None),
-            "va": ("local", 1), "lva": ("local", None),
-        }[args.decoder]
+        name_sort, name_list = _DECODER_NAMES[args.decoder]
         if sorting is not None or (list_size is not None and name_list == 1):
             print(
                 f"warning: explicit --sort/--list override --decoder {args.decoder}",
@@ -177,12 +170,10 @@ def cmd_simulate(args) -> int:
         master_seed=args.seed,
     )
     points = sim.run_sweep(plan, workers=args.workers)
-    text = sim.csv_text(plan, points)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        sim.write_csv(args.out, plan, points)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(sim.csv_text(plan, points))
     if args.json:
         sim.write_json(args.json, plan, points)
     return 0
@@ -278,7 +269,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

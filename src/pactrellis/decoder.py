@@ -221,17 +221,17 @@ def extend_info(paths: PathSet, t: int, observer=None) -> PathSet:
     return paths
 
 
-def prune(paths: PathSet, config: DecoderConfig | None = None, observer=None) -> np.ndarray:
+def prune(paths: PathSet, observer=None) -> np.ndarray:
     """Narrow the path arrays to the survivors; return the rows kept.
 
-    All rows are kept while within the budget.  Over it, global sorting keeps
-    the list_size smallest-metric paths overall and local sorting keeps the
-    list_size smallest per register state.  Ties break on creation id, and
+    All rows are kept while within the budget of ``paths.config``.  Over it,
+    global sorting keeps the list_size smallest-metric paths overall and local
+    sorting keeps the list_size smallest per register state.  Ties break on creation id, and
     after a cut survivors are ordered by (metric, id).  Only states, metrics
     and ids are narrowed: gathering the bank is the caller's job.
     ``observer(states, metrics, ids, keep)`` sees every cut.
     """
-    cfg = config if config is not None else paths.config
+    cfg = paths.config
     if paths.size <= cfg.budget(paths.code.m):
         return np.arange(paths.size)
     if cfg.sorting == "global":

@@ -8,6 +8,7 @@ through the binary polar (Kronecker) transform.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,14 +19,13 @@ __all__ = [
     "gen_octal",
     "rm_rate_profile",
     "rate_profile_insert",
-    "conv_1bit_encode",
     "conv_transform",
     "conv_inverse",
     "polar_transform",
     "pac_encode",
-    "taps_mask",
     "parity_table",
     "shift_state",
+    "parse_profile",
     "parse_code_spec",
     "load_code_spec",
 ]
@@ -40,9 +40,7 @@ def parse_gen(gen) -> tuple:
     (1, 0, 1, 1, 0, 1, 1), i.e. memory m = 6.
     """
     if isinstance(gen, str):
-        text = gen.strip().lower()
-        value = int(text, 8) if not text.startswith("0o") else int(text, 8)
-        coeffs = tuple(int(c) for c in bin(value)[2:])
+        coeffs = tuple(int(c) for c in bin(int(gen.strip().lower(), 8))[2:])
     elif isinstance(gen, (int, np.integer)):
         if gen <= 0:
             raise ValueError(f"generator value must be positive, got {gen}")
@@ -154,25 +152,6 @@ def rate_profile_insert(d, A, N: int) -> np.ndarray:
     return v
 
 
-def conv_1bit_encode(v: int, state, g) -> tuple:
-    """One shift-register step: emit u for input bit v, return (u, next_state).
-
-    ``state`` holds the m previous input bits, most recent first. The output
-    is u = g_0 v + g_1 state[0] + ... + g_m state[m-1] (mod 2); the next state
-    is v shifted in at the front with the oldest bit dropped.
-    """
-    g = tuple(int(c) for c in g)
-    m = len(g) - 1
-    state = tuple(int(b) for b in state)
-    if len(state) != m:
-        raise ValueError(f"state length {len(state)} does not match memory {m}")
-    u = g[0] & int(v)
-    for j in range(1, m + 1):
-        u ^= g[j] & state[j - 1]
-    nxt = (int(v),) + state[: m - 1] if m else ()
-    return u, nxt
-
-
 def conv_transform(v, g) -> np.ndarray:
     """Convolve the input with g over GF(2) from the all-zero state, truncated to len(v)."""
     v = np.asarray(v, dtype=np.int8)
@@ -226,22 +205,14 @@ def pac_encode(d, code: PacCode) -> np.ndarray:
 # (s >> 1) | (bit << (m-1)).
 
 
-def taps_mask(g) -> int:
-    """Integer mask with bit (m-j) set for each tap g_j, j = 1..m."""
-    g = parse_gen(g)
-    m = len(g) - 1
-    mask = 0
-    for j in range(1, m + 1):
-        if g[j]:
-            mask |= 1 << (m - j)
-    return mask
-
-
 def parity_table(g) -> np.ndarray:
-    """tab[s] = feedback parity of register state s under the taps of g (v = 0 output)."""
+    """tab[s] = feedback parity of register state s under the taps of g (v = 0 output).
+
+    Tap g_j, j = 1..m, reads bit m-j of the packed state.
+    """
     g = parse_gen(g)
     m = len(g) - 1
-    mask = taps_mask(g)
+    mask = sum(1 << (m - j) for j in range(1, m + 1) if g[j])
     states = np.arange(1 << m, dtype=np.uint32)
     return (np.bitwise_count(states & np.uint32(mask)) & 1).astype(np.int8)
 
@@ -262,10 +233,18 @@ def shift_state(s, v, m: int):
 # indices.  '#' starts a comment.
 
 
+def parse_profile(profile: str, n: int, K: int, base_dir: str = ".") -> tuple:
+    """Information set named by ``rm`` or ``file:<path>``, the path taken from base_dir."""
+    if profile == "rm":
+        return rm_rate_profile(n, K)
+    if profile.startswith("file:"):
+        with open(os.path.join(base_dir, profile[len("file:"):])) as fh:
+            return tuple(int(tok) for tok in fh.read().split())
+    raise ValueError(f"profile must be 'rm' or 'file:<path>', got {profile!r}")
+
+
 def parse_code_spec(text: str, base_dir: str = ".") -> PacCode:
     """Build a PacCode from the key-value text format used by the CLI."""
-    import os
-
     fields = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -283,20 +262,10 @@ def parse_code_spec(text: str, base_dir: str = ".") -> PacCode:
         if req not in fields:
             raise ValueError(f"code spec is missing required key {req!r}")
     n, K = int(fields["n"]), int(fields["k"])
-    profile = fields.get("profile", "rm")
-    if profile == "rm":
-        A = rm_rate_profile(n, K)
-    elif profile.startswith("file:"):
-        path = os.path.join(base_dir, profile[len("file:"):])
-        with open(path) as fh:
-            A = tuple(int(tok) for tok in fh.read().split())
-    else:
-        raise ValueError(f"profile must be 'rm' or 'file:<path>', got {profile!r}")
+    A = parse_profile(fields.get("profile", "rm"), n, K, base_dir)
     return PacCode(n=n, K=K, A=A, g=parse_gen(fields["gen"]))
 
 
 def load_code_spec(path: str) -> PacCode:
-    import os
-
     with open(path) as fh:
         return parse_code_spec(fh.read(), base_dir=os.path.dirname(path) or ".")

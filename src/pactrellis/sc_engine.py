@@ -11,8 +11,8 @@ whose bit is clear; after bit N-1 the stage-n slots hold the polar transform
 of the committed bits.
 
 ``ScBank`` holds one scratch row per decoder path and applies every update to
-all rows at once; pruning and path splitting gather rows with ``take``.
-``ScScratch`` is the single-path view of a one-row bank.
+all rows at once; it starts with one row, and pruning and path splitting
+gather rows with ``take``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "f_exact",
     "g_combine",
     "ScBank",
-    "ScScratch",
 ]
 
 # tanh saturates to 1.0 in float64 near |x| ~ 19, so products of tanh(llr/2)
@@ -66,28 +65,30 @@ def _combiner(name):
 class ScBank:
     """Batched SC scratch: one row of intermediate LLRs and partial sums per path.
 
-    Updates follow the standard in-order schedule: ``update_llrs(t)`` then
-    ``update_partial_sums(t, u)`` for t = 0 .. N-1.  Rows may be gathered with
-    ``take`` (a row may be taken more than once) between the two calls.
+    The bank starts with one row holding the channel LLRs, which must be
+    finite.  Updates follow the standard in-order schedule: ``update_llrs(t)``
+    then ``update_partial_sums(t, u)`` for t = 0 .. N-1.  Rows may be gathered
+    with ``take`` (a row may be taken more than once) between the two calls.
     ``capacity`` reserves room for that many rows, so that gathers within it
     allocate nothing (fresh arrays at every information bit cost page faults
     under glibc's default malloc settings).
     """
 
-    def __init__(self, channel_llrs, combining: str = "min-sum", paths: int = 1,
-                 capacity: int = 1):
+    def __init__(self, channel_llrs, combining: str = "min-sum", capacity: int = 1):
         llrs = np.asarray(channel_llrs, dtype=float)
         N = llrs.size
         if N < 1 or N & (N - 1):
             raise ValueError(f"channel LLR length must be a power of two, got {N}")
+        if not np.isfinite(llrs).all():
+            raise ValueError("channel LLRs must be finite")
         self.N = N
         self.n = N.bit_length() - 1
         self._f = _combiner(combining)
         # two sides per buffer: the live rows are a prefix of one side, and
         # take gathers into the other
         self._side = 0
-        self._llr_buf, self._beta_buf = self._buffers(max(paths, capacity))
-        self.llr, self.beta = self._llr_buf[0, :paths], self._beta_buf[0, :paths]
+        self._llr_buf, self._beta_buf = self._buffers(max(capacity, 1))
+        self.llr, self.beta = self._llr_buf[0, :1], self._beta_buf[0, :1]
         self.llr[:, : N - 1] = 0.0
         self.llr[:, N - 1 :] = llrs
         self.beta[:] = 0
@@ -173,36 +174,3 @@ class ScBank:
     def stage_n_sums(self) -> np.ndarray:
         """Stage-n partial sums; equals the polar transform of the committed bits after N commits."""
         return self.beta[:, self.N - 1 :].copy()
-
-
-class ScScratch:
-    """Single-path SC scratch: the one-row view of ``ScBank``.
-
-    Exposes the same in-order update contract with scalar decisions, plus the
-    raw buffers for inspection.
-    """
-
-    def __init__(self, channel_llrs, combining: str = "min-sum"):
-        self._bank = ScBank(channel_llrs, combining=combining, paths=1)
-
-    @property
-    def N(self) -> int:
-        return self._bank.N
-
-    @property
-    def llr(self) -> np.ndarray:
-        return self._bank.llr[0]
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self._bank.beta[0]
-
-    def update_llrs(self, t: int) -> float:
-        return float(self._bank.update_llrs(t)[0])
-
-    def update_partial_sums(self, t: int, u_hat: int) -> "ScScratch":
-        self._bank.update_partial_sums(t, np.asarray([u_hat], dtype=np.int8))
-        return self
-
-    def stage_n_sums(self) -> np.ndarray:
-        return self._bank.stage_n_sums()[0]

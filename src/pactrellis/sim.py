@@ -7,18 +7,25 @@ message bits via ``rng.integers(0, 2, size=K, dtype=int8)``, then the N noise
 samples via ``sqrt(sigma2) * rng.standard_normal(N)``.
 
 A point stops at the smallest trial prefix containing ``min_frame_errors``
-frame errors (or at ``max_trials``).  A serial run decodes exactly that
-prefix; workers evaluate fixed-size chunks of the trial grid speculatively.
-The reported prefix is the same whatever the worker count, so results are
-byte-identical for any ``workers`` value.
+frame errors (or at ``max_trials``).  One loop runs every point: it submits
+fixed-size chunks of the trial grid in order and collects them in order, one
+at a time and inline when serial, up to ``workers + 1`` ahead on a process
+pool otherwise.  Each chunk stops at the error that would meet the target
+given the errors collected when it was submitted; that is never before the
+true stopping trial, so the reported prefix is the same whatever the worker
+count and results are byte-identical for any ``workers`` value.  A serial
+run decodes exactly that prefix.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -72,6 +79,8 @@ class SimPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "snr_points", tuple(float(s) for s in self.snr_points))
+        if not np.isfinite(self.snr_points).all():
+            raise ValueError(f"SNR points must be finite, got {self.snr_points}")
         if self.min_frame_errors < 1:
             raise ValueError(f"min_frame_errors must be >= 1, got {self.min_frame_errors}")
         if self.max_trials < self.min_frame_errors:
@@ -114,7 +123,7 @@ def run_trial(plan: SimPlan, snr_index: int, trial_index: int):
     return errs > 0, errs
 
 
-def _run_chunk(plan: SimPlan, snr_index: int, start: int, count: int, stop_at: int = 0):
+def _run_chunk(plan: SimPlan, snr_index: int, start: int, count: int, stop_at: int):
     """Run ``count`` trials from ``start``, or up to the one that makes ``stop_at`` errors."""
     flags = np.zeros(count, dtype=bool)
     errs = np.zeros(count, dtype=np.int64)
@@ -130,53 +139,57 @@ def _chunk_grid(max_trials: int):
     return [(s, min(TRIALS_PER_CHUNK, max_trials - s)) for s in starts]
 
 
+def _run_inline(fn, *args) -> Future:
+    """Call fn now and hand its result back as a completed future."""
+    fut = Future()
+    fut.set_result(fn(*args))
+    return fut
+
+
 def run_point(plan: SimPlan, snr_index: int, workers: int = 1, executor=None) -> FerPoint:
-    """Simulate one SNR point, stopping at the exact trial where the error target is met."""
+    """Simulate one SNR point, stopping at the exact trial where the error target is met.
+
+    Chunks of the trial grid are submitted and collected in order: on
+    ``executor`` (a process pool of ``workers`` made here when none is given
+    and ``workers`` > 1) with up to ``workers + 1`` in flight, or one at a
+    time, run inline, when serial.  A chunk is told to stop at the
+    (target - errors collected so far)-th error it finds.  The errors collected
+    at submit time never exceed those before the chunk, so a chunk never stops
+    before the true stopping trial, and one that stops early brings the total
+    to the target.
+    """
     t0 = time.perf_counter()
-    grid = _chunk_grid(plan.max_trials)
+    own = executor is None and workers > 1
+    pool = ProcessPoolExecutor(max_workers=workers) if own else executor
+    submit = _run_inline if pool is None else pool.submit
+    window = 1 if pool is None else workers + 1
+    target = plan.min_frame_errors
+    chunks = iter(_chunk_grid(plan.max_trials))
+    pending = deque()
     flags_parts, errs_parts = [], []
     collected_errors = 0
-
-    if workers <= 1 and executor is None:
-        for start, count in grid:
-            f, e = _run_chunk(plan, snr_index, start, count,
-                              plan.min_frame_errors - collected_errors)
+    try:
+        while collected_errors < target:
+            for start, count in islice(chunks, window - len(pending)):
+                pending.append(submit(_run_chunk, plan, snr_index, start, count,
+                                      target - collected_errors))
+            if not pending:
+                break
+            f, e = pending.popleft().result()
             flags_parts.append(f)
             errs_parts.append(e)
             collected_errors += int(f.sum())
-            if collected_errors >= plan.min_frame_errors:
-                break
-    else:
-        own = executor is None
-        pool = executor if executor is not None else ProcessPoolExecutor(max_workers=workers)
-        try:
-            pending = {}
-            next_submit = 0
-            next_collect = 0
-            window = max(workers, 1) + 1
-            while next_collect < len(grid):
-                while next_submit < len(grid) and len(pending) < window:
-                    start, count = grid[next_submit]
-                    pending[next_submit] = pool.submit(_run_chunk, plan, snr_index, start, count)
-                    next_submit += 1
-                f, e = pending.pop(next_collect).result()
-                next_collect += 1
-                flags_parts.append(f)
-                errs_parts.append(e)
-                collected_errors += int(f.sum())
-                if collected_errors >= plan.min_frame_errors:
-                    for fut in pending.values():
-                        fut.cancel()
-                    break
-        finally:
-            if own:
-                pool.shutdown(wait=False, cancel_futures=True)
+    finally:
+        for fut in pending:
+            fut.cancel()
+        if own:
+            pool.shutdown(wait=False, cancel_futures=True)
 
     flags = np.concatenate(flags_parts)
     errs = np.concatenate(errs_parts)
     cum = np.cumsum(flags)
-    if cum.size and cum[-1] >= plan.min_frame_errors:
-        trials = int(np.argmax(cum >= plan.min_frame_errors)) + 1
+    if cum.size and cum[-1] >= target:
+        trials = int(np.argmax(cum >= target)) + 1
     else:
         trials = flags.size
     frame_errors = int(cum[trials - 1]) if trials else 0
@@ -193,14 +206,9 @@ def run_point(plan: SimPlan, snr_index: int, workers: int = 1, executor=None) ->
 
 
 def run_sweep(plan: SimPlan, workers: int = 1):
-    """Simulate every SNR point of the plan in order."""
-    if workers <= 1:
-        return [run_point(plan, s) for s in range(len(plan.snr_points))]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [
-            run_point(plan, s, workers=workers, executor=pool)
-            for s in range(len(plan.snr_points))
-        ]
+    """Simulate every SNR point of the plan in order, sharing one pool when parallel."""
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
+        return [run_point(plan, s, workers, pool) for s in range(len(plan.snr_points))]
 
 
 def confidence_interval(point: FerPoint, level: float = 0.95):

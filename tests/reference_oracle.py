@@ -2,7 +2,8 @@
 
 Nothing here shares code with the production decoder: the combine rules,
 penalties, and recursions are restated from scratch so that agreement between
-the two sides is meaningful.  Everything runs at test scale only.
+the two sides is meaningful.  Everything runs at test scale only, and the
+module lives with the tests rather than in the installed package.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pac_core import PacCode, parity_table, shift_state
+from pactrellis.pac_core import PacCode, parity_table, shift_state
 
 __all__ = [
     "generator_matrix",
     "transform_matrix",
+    "conv_1bit_encode",
     "ml_decode_exhaustive",
     "codebook_metrics",
     "forced_path_metrics",
@@ -73,6 +75,25 @@ def generator_matrix(code: PacCode = None, *, n: int = None, A=None, g=None) -> 
         n, A, g = code.n, code.A, code.g
     rows = sorted(int(a) for a in A)
     return transform_matrix(n, g)[rows, :]
+
+
+def conv_1bit_encode(v: int, state, g) -> tuple:
+    """One shift-register step: emit u for input bit v, return (u, next_state).
+
+    ``state`` holds the m previous input bits, most recent first. The output
+    is u = g_0 v + g_1 state[0] + ... + g_m state[m-1] (mod 2); the next state
+    is v shifted in at the front with the oldest bit dropped.
+    """
+    g = tuple(int(c) for c in g)
+    m = len(g) - 1
+    state = tuple(int(b) for b in state)
+    if len(state) != m:
+        raise ValueError(f"state length {len(state)} does not match memory {m}")
+    u = g[0] & int(v)
+    for j in range(1, m + 1):
+        u ^= g[j] & state[j - 1]
+    nxt = (int(v),) + state[: m - 1] if m else ()
+    return u, nxt
 
 
 # --- locally restated arithmetic -------------------------------------------------

@@ -18,6 +18,11 @@ import sys
 import numpy as np
 import pytest
 from conftest import make_trial
+from reference_oracle import (
+    ml_decode_exhaustive,
+    naive_scl_reference,
+    polar_sc_reference,
+)
 
 from pactrellis.decoder import DecoderConfig, decode
 from pactrellis.pac_core import (
@@ -27,11 +32,6 @@ from pactrellis.pac_core import (
     pac_encode,
     parse_gen,
     polar_transform,
-)
-from pactrellis.reference_oracle import (
-    ml_decode_exhaustive,
-    naive_scl_reference,
-    polar_sc_reference,
 )
 from pactrellis.sim import SimPlan, confidence_interval, run_point
 from pactrellis.sorter import apply_network, build_reduced_bitonic, latency_report, psi_lva

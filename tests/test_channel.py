@@ -20,6 +20,11 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ChannelParams(1.0, 1.5)
 
+    def test_sigma2_is_not_an_argument(self):
+        # sigma2 is derived; a passed value used to be silently overwritten
+        with pytest.raises(TypeError):
+            ChannelParams(1.0, 0.5, sigma2=7.0)
+
 
 class TestBpsk:
     def test_mapping(self):

@@ -1,8 +1,11 @@
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
+import pytest
 
+from pactrellis import cli, sim
 from pactrellis.pac_core import PacCode, pac_encode
 
 
@@ -70,6 +73,16 @@ class TestDecodeCommand:
         assert rc == 0
         assert out.splitlines()[0] == "d=0110"
 
+    @pytest.mark.parametrize("llrs", ["nan,nan,nan,nan,nan,nan,nan,nan",
+                                      "inf,inf,inf,inf,inf,inf,inf,inf",
+                                      "4,-4,4,nan,4,4,-4,4"])
+    def test_non_finite_llrs_are_usage_errors(self, llrs, capsys):
+        # an all-NaN vector used to print d=0000 metric=0.0 and exit 0
+        rc = cli.main(["decode", "--n", "3", "--k", "4", "--gen", "0o3", f"--llr={llrs}"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == "" and "finite" in err
+
 
 class TestSimulate:
     BASE = ("simulate", "--n", "4", "--k", "8", "--gen", "0o3",
@@ -116,6 +129,24 @@ class TestSimulate:
         assert "override" in err
         run_cli(*self.BASE, "--decoder", "scl", "--list", "4", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("snr", ["nan", "2.0,inf"])
+    def test_non_finite_snr_is_usage_error(self, snr, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        rc = cli.main(["simulate", "--n", "4", "--k", "8", "--gen", "0o3", "--snr", snr,
+                       "--decoder", "sc", "--out", str(out)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_broken_process_pool_is_runtime_error(self, monkeypatch, capsys):
+        def broken(plan, workers=1):
+            raise BrokenProcessPool("a worker process died")
+
+        monkeypatch.setattr(sim, "run_sweep", broken)
+        rc = cli.main([*self.BASE, "--decoder", "sc", "--workers", "2"])
+        assert rc == 3
+        assert "worker process died" in capsys.readouterr().err
 
     def test_stdout_when_no_out(self):
         rc, out, _ = run_cli(*self.BASE, "--decoder", "sc")

@@ -22,18 +22,18 @@ from pactrellis.pac_core import (
     polar_transform,
     rate_profile_insert,
 )
-from pactrellis.sc_engine import ContractViolationError, ScBank, ScScratch
+from pactrellis.sc_engine import ContractViolationError, ScBank
 
 
 def noiseless_llrs(code, d, mag=60.0):
     return (1.0 - 2.0 * pac_encode(d, code)) * mag
 
 
-def build_pathset(code, metrics, states, ids=None):
+def build_pathset(code, metrics, states, ids=None, config=DecoderConfig()):
     """Hand-built PathSet for prune/select tests; bank rows are placeholders."""
-    ps = PathSet(np.ones(code.N), code, DecoderConfig())
+    ps = PathSet(np.ones(code.N), code, config)
     P = len(metrics)
-    ps.bank = ScBank(np.ones(code.N), paths=P)
+    ps.bank.take(np.zeros(P, dtype=np.intp))
     ps.metrics = np.asarray(metrics, dtype=float)
     ps.states = np.asarray(states, dtype=np.int64)
     ps.ids = np.arange(P, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
@@ -184,29 +184,32 @@ class TestPrune:
     # prune narrows states, metrics and ids and returns the kept rows; the bank is the caller's
     def test_global_keeps_k_smallest(self):
         code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
-        ps = build_pathset(code, [5.0, 1.0, 8.0, 3.0, 2.0, 7.0, 4.0, 6.0], [0] * 8)
-        keep = prune(ps, DecoderConfig("global", 4))
+        ps = build_pathset(code, [5.0, 1.0, 8.0, 3.0, 2.0, 7.0, 4.0, 6.0], [0] * 8,
+                           config=DecoderConfig("global", 4))
+        keep = prune(ps)
         assert list(ps.metrics) == [1.0, 2.0, 3.0, 4.0]
         assert list(keep) == [1, 4, 3, 6]
 
     def test_local_per_state_minimum(self):
         code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
-        ps = build_pathset(code, [2.0, 1.5, 0.5, 3.0], [0, 0, 1, 1])
-        prune(ps, DecoderConfig("local", 1))
+        ps = build_pathset(code, [2.0, 1.5, 0.5, 3.0], [0, 0, 1, 1],
+                           config=DecoderConfig("local", 1))
+        prune(ps)
         assert sorted(ps.metrics) == [0.5, 1.5]
         assert sorted(ps.states) == [0, 1]
 
     def test_identity_below_budget(self):
         code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
-        ps = build_pathset(code, [2.0, 1.0], [0, 1])
-        keep = prune(ps, DecoderConfig("local", 1))  # budget 2^1 * 1 = 2, not exceeded
+        ps = build_pathset(code, [2.0, 1.0], [0, 1], config=DecoderConfig("local", 1))
+        keep = prune(ps)  # budget 2^1 * 1 = 2, not exceeded
         assert list(ps.metrics) == [2.0, 1.0]
         assert list(keep) == [0, 1]
 
     def test_tie_breaks_on_id(self):
         code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
-        ps = build_pathset(code, [1.0, 1.0, 1.0], [0, 0, 0], ids=[7, 2, 5])
-        prune(ps, DecoderConfig("global", 2))
+        ps = build_pathset(code, [1.0, 1.0, 1.0], [0, 0, 0], ids=[7, 2, 5],
+                           config=DecoderConfig("global", 2))
+        prune(ps)
         assert list(ps.ids) == [2, 5]
 
 
@@ -260,10 +263,10 @@ class TestDecode:
             cfg = DecoderConfig("local", 2, metric_mode=mode)
             d, llrs = make_trial(code, 1.5, rng)
             res = decode(llrs, code, cfg)
-            sc = ScScratch(llrs)
+            sc = ScBank(llrs)
             total = 0.0
             for t in range(code.N):
-                lam = sc.update_llrs(t)
+                lam = sc.update_llrs(t)[0]
                 total += branch_metric(lam, int(res.u_hat[t]), mode)
                 sc.update_partial_sums(t, int(res.u_hat[t]))
             assert res.metric == pytest.approx(total, abs=1e-9)
@@ -375,10 +378,10 @@ class TestDecode:
         for cfg in (DecoderConfig("global", 4, mode, rule), DecoderConfig("local", 2, mode, rule)):
             d, llrs = make_trial(code, 1.0, rng)
             res = decode(llrs, code, cfg)
-            sc = ScScratch(llrs, combining=rule)
+            sc = ScBank(llrs, combining=rule)
             total = 0.0
             for t in range(code.N):
-                total += branch_metric(sc.update_llrs(t), int(res.u_hat[t]), mode)
+                total += branch_metric(sc.update_llrs(t)[0], int(res.u_hat[t]), mode)
                 sc.update_partial_sums(t, int(res.u_hat[t]))
             assert res.metric == pytest.approx(total, rel=1e-12, abs=1e-9)
 
@@ -386,3 +389,11 @@ class TestDecode:
         code = PacCode.rm(4, 8, 0o3)
         with pytest.raises(ValueError):
             decode(np.ones(8), code, DecoderConfig())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_llrs(self, bad):
+        # all-NaN or all-inf input used to decode to the all-zero message at metric 0
+        code = PacCode.rm(4, 8, 0o3)
+        for cfg in ALL_CONFIGS:
+            with pytest.raises(ValueError, match="finite"):
+                decode(np.full(code.N, bad), code, cfg)

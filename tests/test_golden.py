@@ -8,10 +8,10 @@ import os
 
 import numpy as np
 import pytest
+from reference_oracle import read_golden_cases, write_golden_cases
 
 from pactrellis.decoder import DecoderConfig, decode
 from pactrellis.pac_core import PacCode
-from pactrellis.reference_oracle import read_golden_cases, write_golden_cases
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_cases.txt")
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from reference_oracle import conv_1bit_encode, generator_matrix
 
 from pactrellis.pac_core import (
     PacCode,
-    conv_1bit_encode,
     conv_inverse,
     conv_transform,
     gen_octal,
@@ -14,7 +14,6 @@ from pactrellis.pac_core import (
     rate_profile_insert,
     rm_rate_profile,
 )
-from pactrellis.reference_oracle import generator_matrix
 
 
 class TestGenParsing:

@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
 from conftest import make_trial
-
-from pactrellis.decoder import DecoderConfig, decode
-from pactrellis.pac_core import PacCode, pac_encode
-from pactrellis.reference_oracle import (
+from reference_oracle import (
     chain_rule_neglogp,
     forced_path_metrics,
     forced_transcript,
@@ -14,6 +11,9 @@ from pactrellis.reference_oracle import (
     polar_sc_reference,
     transform_matrix,
 )
+
+from pactrellis.decoder import DecoderConfig, decode
+from pactrellis.pac_core import PacCode, pac_encode
 
 
 def noiseless_llrs(code, d, mag=60.0):

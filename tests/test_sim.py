@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from pactrellis import sim
@@ -47,6 +49,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             small_plan(min_frame_errors=100, max_trials=50)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_snr(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            small_plan(snr_points=(2.0, bad))
+
 
 class TestRunPoint:
     def test_high_snr_no_errors(self):
@@ -83,6 +90,35 @@ class TestRunPoint:
         point = run_point(plan, 0, workers=1)
         assert same_point(point, expected)
         assert calls == list(range(point.trials))
+
+    def test_pool_chunks_stop_at_their_own_target(self, monkeypatch):
+        # chunk 0 decodes exactly the reported trials; a speculative chunk stops
+        # at the stop_at-th error it was submitted with instead of running whole
+        calls = []
+
+        def counting_trial(plan, snr_index, trial_index):
+            calls.append(trial_index)
+            return run_trial(plan, snr_index, trial_index)
+
+        plan = small_plan(snr_points=(0.0,), min_frame_errors=5, max_trials=5000)
+        expected = run_point(plan, 0)
+        assert expected.trials <= sim.TRIALS_PER_CHUNK
+        monkeypatch.setattr(sim, "run_trial", counting_trial)
+        with ThreadPoolExecutor(2) as pool:
+            point = run_point(plan, 0, workers=2, executor=pool)
+        assert same_point(point, expected)
+        by_chunk = {}
+        for i in sorted(calls):
+            by_chunk.setdefault(i // sim.TRIALS_PER_CHUNK, []).append(i)
+        assert by_chunk[0] == list(range(point.trials))
+        for chunk, trials in by_chunk.items():
+            start = chunk * sim.TRIALS_PER_CHUNK
+            assert trials == list(range(start, start + len(trials)))
+            flags = [run_trial(plan, 0, i)[0] for i in trials]
+            # a chunk submitted before any error was collected stops at its 5th error
+            assert sum(flags) <= plan.min_frame_errors
+            if len(trials) < sim.TRIALS_PER_CHUNK:
+                assert sum(flags) == plan.min_frame_errors and flags[-1]
 
     def test_trial_reproducible_in_isolation(self):
         plan = small_plan(snr_points=(1.0,))
