@@ -18,6 +18,11 @@ children's metrics, states and ids, and only then is the SC bank gathered,
 once, from their parent rows, so it never holds more rows than the budget.
 Paths keep no histories: each information bit stores a backpointer (parent
 row, bit) per survivor, and the winner is read back by one traceback.
+
+Both metric modes charge a bit by one rule: deciding u against decision LLR
+lam costs phi(0, z), z = (2u - 1) lam, with phi = max (approximate) or
+log(e^x + e^y) (exact).  z is a +-1 entry, looked up by register state, times
+lam, and the two children of an information bit pay phi(0, z) and phi(0, -z).
 """
 
 from __future__ import annotations
@@ -36,14 +41,13 @@ __all__ = [
     "DecodeResult",
     "hard_decision",
     "branch_metric",
-    "extend_frozen",
-    "extend_info",
-    "prune",
     "decode",
 ]
 
 SORTING_MODES = ("local", "global")
-METRIC_MODES = ("exact", "approximate")
+# the penalty phi(0, z) of each metric mode (see the module docstring)
+_PHI = {"exact": np.logaddexp, "approximate": np.maximum}
+METRIC_MODES = tuple(_PHI)
 
 _DECODER_NAMES = {
     "sc": ("global", 1),
@@ -110,17 +114,12 @@ def hard_decision(llr):
 def branch_metric(llr, u_hat, mode: str = "approximate"):
     """Per-bit penalty for deciding u_hat against decision LLR(s).
 
-    Exact mode evaluates log(1 + exp(-(1 - 2u) llr)); approximate mode charges
+    Exact mode evaluates log(1 + exp((2u - 1) llr)); approximate mode charges
     zero when u_hat matches the hard decision and |llr| otherwise.
     """
-    llr = np.asarray(llr, dtype=float)
-    u = np.asarray(u_hat)
-    if mode == "approximate":
-        out = np.where(u == (llr <= 0), 0.0, np.abs(llr))
-    elif mode == "exact":
-        out = np.logaddexp(0.0, -(1.0 - 2.0 * u) * llr)
-    else:
+    if mode not in _PHI:
         raise ValueError(f"metric mode must be one of {METRIC_MODES}, got {mode!r}")
+    out = _PHI[mode](0.0, (2.0 * np.asarray(u_hat) - 1.0) * np.asarray(llr, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -147,8 +146,11 @@ class PathSet:
         self.parents = []
         self.bits = []
         self._ptab = parity_table(code.g)
-        self._m = code.m
-        self._approx = config.metric_mode == "approximate"
+        self._sign = 2.0 * self._ptab - 1.0  # (2u - 1) per register state
+        self._phi = _PHI[config.metric_mode]
+        self._high = (1 << code.m) >> 1  # register bit that v = 1 sets (0 when m = 0)
+        # children of an information bit: states, metrics and creation ids
+        self._kids = (np.empty(2 * cap, np.int64), np.empty(2 * cap), np.empty(2 * cap, np.int64))
 
     @property
     def size(self) -> int:
@@ -172,14 +174,9 @@ class PathSet:
 def extend_frozen(paths: PathSet, t: int) -> PathSet:
     """Extend every path with v_t = 0: encode, charge the branch penalty, commit."""
     lam = paths.bank.update_llrs(t)
+    paths.metrics += paths._phi(0.0, paths._sign[paths.states] * lam)
     u = paths._ptab[paths.states]
-    if paths._approx:
-        pen = np.where(u == (lam <= 0), 0.0, np.abs(lam))
-    else:
-        pen = np.logaddexp(0.0, -(1.0 - 2.0 * u) * lam)
-    paths.metrics += pen
-    if paths._m:
-        paths.states >>= 1
+    paths.states >>= 1
     paths.bank.update_partial_sums(t, u)
     return paths
 
@@ -192,24 +189,22 @@ def extend_info(paths: PathSet, t: int, observer=None) -> PathSet:
     children after them in parent order, with fresh creation ids), and
     ``prune`` (given ``observer``) selects among them; only then are the
     survivors' parent rows of the bank gathered and their bits committed.
+    The children are written into arrays reused at every information bit, so
+    the observer's arrays are valid only during its call.
     """
     lam = paths.bank.update_llrs(t)
-    m = paths._m
     P = paths.size
     u0 = paths._ptab[paths.states]
-    if paths._approx:
-        # the two children differ in u, so exactly one of them pays |lam|
-        mag = np.abs(lam)
-        pen0 = np.where(u0 == (lam <= 0), 0.0, mag)
-        pen1 = mag - pen0
-    else:
-        z = (1.0 - 2.0 * u0) * lam
-        pen0 = np.logaddexp(0.0, -z)
-        pen1 = np.logaddexp(0.0, z)
-    s0 = paths.states >> 1 if m else paths.states
-    paths.states = np.concatenate([s0, s0 | (1 << (m - 1)) if m else s0])
-    paths.metrics = np.concatenate([paths.metrics + pen0, paths.metrics + pen1])
-    paths.ids = np.concatenate([paths.ids, np.arange(P, dtype=np.int64) + paths.next_id])
+    z = paths._sign[paths.states] * lam
+    states, metrics, ids = (a[: 2 * P] for a in paths._kids)
+    # the path arrays may be the first halves of these: write the second halves first
+    np.add(paths.metrics, paths._phi(0.0, -z), out=metrics[P:])
+    np.add(paths.metrics, paths._phi(0.0, z), out=metrics[:P])
+    np.right_shift(paths.states, 1, out=states[:P])
+    np.bitwise_or(states[:P], paths._high, out=states[P:])
+    ids[:P] = paths.ids
+    ids[P:] = np.arange(paths.next_id, paths.next_id + P)
+    paths.states, paths.metrics, paths.ids = states, metrics, ids
     paths.next_id += P
     keep = prune(paths, observer=observer)
     parent = keep % P

@@ -1,14 +1,16 @@
 """Successive-cancellation plumbing: intermediate LLR recursions and partial-sum updates.
 
 The factor graph has n+1 stages; stage n holds the N channel LLRs and stage 0
-produces the per-bit decision LLR.  Only one block per stage is ever live, so
-LLRs are stored compactly: stage s occupies slots [2^s - 1, 2^{s+1} - 1) of a
-(2N - 1)-slot buffer.  Partial sums use the same layout (Tal and Vardy's
-per-stage arrays): stage s holds only its pending left block, the one the next
-g-update at that stage reads.  Committing bit t folds the new sums up through
-the stages of the set low bits of t and parks the result at the first stage
-whose bit is clear; after bit N-1 the stage-n slots hold the polar transform
-of the committed bits.
+produces the per-bit decision LLR.  The channel stage is the same for every
+path, so it is stored once, as a read-only vector that the stage n-1 updates
+read by broadcast.  Only one block per other stage is ever live, so those LLRs
+are stored compactly: stage s < n occupies slots [2^s - 1, 2^{s+1} - 1) of an
+(N - 1)-slot row.  Partial sums use the same layout, stage n included, in a
+(2N - 1)-slot row (Tal and Vardy's per-stage arrays): stage s holds only its
+pending left block, the one the next g-update at that stage reads.  Committing
+bit t folds the new sums up through the stages of the set low bits of t and
+parks the result at the first stage whose bit is clear; after bit N-1 the
+stage-n slots hold the polar transform of the committed bits.
 
 ``ScBank`` holds one scratch row per decoder path and applies every update to
 all rows at once; it starts with one row, and pruning and path splitting
@@ -33,20 +35,22 @@ _ATANH_LIMIT = 1.0 - 1e-15
 
 COMBINING_RULES = ("min-sum", "exact")
 
+_SIGN = np.array([1.0, -1.0])  # 1 - 2c for partial sum c
+
 
 class ContractViolationError(RuntimeError):
     """An operation was invoked outside its allowed call sequence."""
 
 
-def f_minsum(a, b):
-    """Check-node combine, min-sum rule: sign(a) sign(b) min(|a|, |b|)."""
-    return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+def f_minsum(a, b, out=None):
+    """Check-node combine, min-sum rule: sign(a) sign(b) min(|a|, |b|) (into ``out`` if given)."""
+    return np.copysign(np.minimum(np.abs(a), np.abs(b)), np.multiply(a, b), out=out)
 
 
-def f_exact(a, b):
+def f_exact(a, b, out=None):
     """Check-node combine, exact rule 2 atanh(tanh(a/2) tanh(b/2)), clipped for safety."""
     t = np.tanh(0.5 * np.asarray(a, dtype=float)) * np.tanh(0.5 * np.asarray(b, dtype=float))
-    return 2.0 * np.arctanh(np.clip(t, -_ATANH_LIMIT, _ATANH_LIMIT))
+    return np.multiply(2.0, np.arctanh(np.clip(t, -_ATANH_LIMIT, _ATANH_LIMIT)), out=out)
 
 
 def g_combine(a, b, c):
@@ -54,43 +58,40 @@ def g_combine(a, b, c):
     return b + (1.0 - 2.0 * np.asarray(c, dtype=float)) * a
 
 
-def _combiner(name):
-    if name == "min-sum":
-        return f_minsum
-    if name == "exact":
-        return f_exact
-    raise ValueError(f"combining rule must be one of {COMBINING_RULES}, got {name!r}")
-
-
 class ScBank:
     """Batched SC scratch: one row of intermediate LLRs and partial sums per path.
 
-    The bank starts with one row holding the channel LLRs, which must be
-    finite.  Updates follow the standard in-order schedule: ``update_llrs(t)``
-    then ``update_partial_sums(t, u)`` for t = 0 .. N-1.  Rows may be gathered
-    with ``take`` (a row may be taken more than once) between the two calls.
+    The finite channel LLRs are kept once, in the read-only vector ``channel``;
+    each row holds N - 1 intermediate LLRs (``llr``) and 2N - 1 partial sums
+    (``beta``).  The bank starts with one row.  Updates follow the standard
+    in-order schedule: ``update_llrs(t)`` then ``update_partial_sums(t, u)``
+    for t = 0 .. N-1.  Rows may be gathered with ``take`` (a row may be taken
+    more than once) between the two calls.
     ``capacity`` reserves room for that many rows, so that gathers within it
     allocate nothing (fresh arrays at every information bit cost page faults
     under glibc's default malloc settings).
     """
 
     def __init__(self, channel_llrs, combining: str = "min-sum", capacity: int = 1):
-        llrs = np.asarray(channel_llrs, dtype=float)
+        llrs = np.array(channel_llrs, dtype=float).ravel()
         N = llrs.size
         if N < 1 or N & (N - 1):
             raise ValueError(f"channel LLR length must be a power of two, got {N}")
         if not np.isfinite(llrs).all():
             raise ValueError("channel LLRs must be finite")
+        llrs.flags.writeable = False
+        self.channel = llrs
         self.N = N
         self.n = N.bit_length() - 1
-        self._f = _combiner(combining)
+        if combining not in COMBINING_RULES:
+            raise ValueError(f"combining rule must be one of {COMBINING_RULES}, got {combining!r}")
+        self._f = f_minsum if combining == "min-sum" else f_exact
         # two sides per buffer: the live rows are a prefix of one side, and
         # take gathers into the other
         self._side = 0
         self._llr_buf, self._beta_buf = self._buffers(max(capacity, 1))
         self.llr, self.beta = self._llr_buf[0, :1], self._beta_buf[0, :1]
-        self.llr[:, : N - 1] = 0.0
-        self.llr[:, N - 1 :] = llrs
+        self.llr[:] = 0.0
         self.beta[:] = 0
         # _t: next undecided bit index; _pending: update_llrs done, commit outstanding
         self._t = 0
@@ -111,24 +112,26 @@ class ScBank:
                 f"update_llrs({t}) out of order: next expected bit is {self._t}"
                 + (" (pending commit)" if self._pending else "")
             )
+        # src is the block that stage s reads: the shared channel vector for s = n - 1
         llr = self.llr
-        f = self._f
         if t == 0:
-            top = self.n
+            top, src = self.n, self.channel
         else:
             top = ((t & -t)).bit_length() - 1  # lowest set bit: g-update stage
             w = 1 << top
-            o, op = w - 1, 2 * w - 1
-            a = llr[:, op : op + w]
-            llr[:, o : o + w] = llr[:, op + w : op + 2 * w] + (
-                1.0 - 2.0 * self.beta[:, o : o + w]
-            ) * a
+            src = self.channel if top + 1 == self.n else llr[:, 2 * w - 1 : 4 * w - 1]
+            dst = llr[:, w - 1 : 2 * w - 1]
+            # b + (1 - 2 beta) a, the sign read from a table by the committed partial sum
+            np.add(src[..., w:], _SIGN[self.beta[:, w - 1 : 2 * w - 1]] * src[..., :w], out=dst)
+            src = dst
         for s in range(top - 1, -1, -1):
             w = 1 << s
-            o, op = w - 1, 2 * w - 1
-            llr[:, o : o + w] = f(llr[:, op : op + w], llr[:, op + w : op + 2 * w])
+            dst = llr[:, w - 1 : 2 * w - 1]
+            self._f(src[..., :w], src[..., w:], out=dst)
+            src = dst
         self._pending = True
-        return llr[:, 0]
+        # a one-bit code has no intermediate stage: its decision LLR is the channel LLR
+        return llr[:, 0] if self.n else np.broadcast_to(self.channel, (self.n_paths,))
 
     def update_partial_sums(self, t: int, u_hat) -> None:
         """Commit the decided bits for index t (one per path) into the partial-sum tree."""
@@ -155,8 +158,7 @@ class ScBank:
         self._t = t + 1
 
     def _buffers(self, rows: int):
-        shape = (2, rows, 2 * self.N - 1)
-        return np.empty(shape), np.empty(shape, dtype=np.int8)
+        return np.empty((2, rows, self.N - 1)), np.empty((2, rows, 2 * self.N - 1), dtype=np.int8)
 
     def take(self, rows) -> None:
         """Keep only the given rows, in the given order (repeats allowed)."""
@@ -168,8 +170,8 @@ class ScBank:
             self._llr_buf, self._beta_buf = self._buffers(k)
         side = self._side = self._side ^ 1
         # indices are checked above; mode="clip" lets np.take write into out unbuffered
-        self.llr = np.take(self.llr, rows, axis=0, out=self._llr_buf[side, :k], mode="clip")
-        self.beta = np.take(self.beta, rows, axis=0, out=self._beta_buf[side, :k], mode="clip")
+        self.llr = self.llr.take(rows, axis=0, out=self._llr_buf[side, :k], mode="clip")
+        self.beta = self.beta.take(rows, axis=0, out=self._beta_buf[side, :k], mode="clip")
 
     def stage_n_sums(self) -> np.ndarray:
         """Stage-n partial sums; equals the polar transform of the committed bits after N commits."""

@@ -284,6 +284,9 @@ def json_text(plan: SimPlan, points) -> str:
                 "bit_errors": p.bit_errors,
                 "fer": p.fer,
                 "ber": p.ber,
+                **dict(zip(("fer_low", "fer_high"), confidence_interval(p))),
+                "wall_time_s": p.wall_time,
+                "frames_per_s": p.trials / p.wall_time if p.wall_time > 0 else None,
             }
             for p in points
         ],

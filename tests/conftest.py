@@ -1,8 +1,20 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pactrellis.channel import ChannelParams, awgn, bpsk_modulate, channel_llr
 from pactrellis.pac_core import pac_encode
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def subprocess_env():
+    """Environment for `python -m pactrellis` subprocesses: this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 def make_trial(code, ebno_db, rng):

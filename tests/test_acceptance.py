@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import make_trial
+from conftest import make_trial, subprocess_env
 from reference_oracle import (
     ml_decode_exhaustive,
     naive_scl_reference,
@@ -247,6 +247,7 @@ def test_criterion_8_worker_count_determinism(tmp_path):
             [sys.executable, "-m", "pactrellis", *args,
              "--out", str(out), "--workers", str(workers)],
             capture_output=True,
+            env=subprocess_env(),
         )
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(out.read_bytes())

@@ -4,6 +4,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from conftest import subprocess_env
 
 from pactrellis import cli, sim
 from pactrellis.pac_core import PacCode, pac_encode
@@ -15,6 +16,7 @@ def run_cli(*args, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=subprocess_env(),
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -106,6 +106,24 @@ class TestBranchMetric:
         assert np.all(gap > 0)
         assert np.all(gap <= math.log(2) + 1e-12)
 
+    @pytest.mark.parametrize("mode", ["approximate", "exact"])
+    def test_matches_written_out_definition(self, mode, rng):
+        # the single rule phi(0, (2u - 1) llr) equals each mode's own textbook form
+        lam = np.concatenate([
+            rng.normal(0, 3, 1000),
+            rng.uniform(-1e3, 1e3, 200),
+            [1e3, -1e3, 0.0, -0.0],
+        ])
+        for u in (np.zeros(lam.size, dtype=np.int8), np.ones(lam.size, dtype=np.int8),
+                  rng.integers(0, 2, lam.size)):
+            if mode == "approximate":
+                expect = np.where(u == (lam <= 0), 0.0, np.abs(lam))
+            else:
+                expect = np.logaddexp(0.0, -(1.0 - 2.0 * u) * lam)
+            assert np.array_equal(branch_metric(lam, u, mode), expect)
+            for x, bit, e in zip(lam[-4:], u[-4:], expect[-4:]):
+                assert branch_metric(float(x), int(bit), mode) == e
+
     def test_nonnegative_and_shape(self, rng):
         lam = rng.normal(0, 3, 100)
         u = rng.integers(0, 2, 100)
@@ -358,7 +376,8 @@ class TestDecode:
 
         def hook(t, ps):
             live[:] = [ps]
-            assert ps.bank.llr.shape == ps.bank.beta.shape == (ps.size, 2 * code.N - 1)
+            assert ps.bank.llr.shape == (ps.size, code.N - 1)
+            assert ps.bank.beta.shape == (ps.size, 2 * code.N - 1)
             rows.append(ps.bank.llr.shape[0])
 
         def observer(t, states, metrics, ids, keep):

@@ -37,6 +37,26 @@ class TestCombiners:
         assert np.all(np.abs(f_exact(a, b)) <= np.minimum(np.abs(a), np.abs(b)) + 1e-12)
         assert np.array_equal(np.abs(f_minsum(a, b)), np.minimum(np.abs(a), np.abs(b)))
 
+    @pytest.mark.parametrize("f", [f_minsum, f_exact])
+    def test_out_matches_allocating_form(self, f, rng):
+        a = np.concatenate([rng.normal(0, 3, 500), [0.0, -0.0, 0.0, 2.0, -0.0, 1e3, 1e-200]])
+        b = np.concatenate([rng.normal(0, 3, 500), [0.0, 0.0, -3.0, -0.0, 5.0, -1e3, -1e-200]])
+        expect = f(a, b)
+        buf = np.full(a.size, np.nan)
+        assert f(a, b, out=buf) is buf
+        assert np.array_equal(buf, expect)
+        assert np.array_equal(np.signbit(buf), np.signbit(expect))
+        # one shared pair of blocks broadcast into per-row slots, as the channel stage is read
+        rows = np.full((3, a.size), np.nan)
+        f(a, b, out=rows)
+        assert all(np.array_equal(row, expect) for row in rows)
+
+    def test_minsum_matches_sign_product_form(self, rng):
+        a = np.concatenate([rng.normal(0, 3, 500), [0.0, -0.0, 4.0, 1e-200, -1e3]])
+        b = np.concatenate([rng.normal(0, 3, 500), [-2.0, 3.0, -0.0, -1e-200, 1e3]])
+        expect = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+        assert np.array_equal(f_minsum(a, b), expect)
+
     def test_g_combine(self):
         assert g_combine(2.0, 3.0, 0) == 5.0
         assert g_combine(2.0, 3.0, 1) == 1.0
@@ -185,6 +205,20 @@ class TestBankBatching:
         for rows in ([2], [0, -1]):
             with pytest.raises(IndexError):
                 bank.take(np.array(rows))
+
+    def test_channel_stage_is_shared(self, rng):
+        # rows hold only the N - 1 intermediate slots; the channel LLRs are one read-only vector
+        llrs = rng.normal(0, 1, 16)
+        bank = ScBank(llrs, capacity=4)
+        assert not np.shares_memory(bank.channel, llrs)
+        for t, rows in enumerate(([0, 0], [1, 0, 1], [2, 1, 0, 0], [3, 2], [0, 1, 1])):
+            bank.update_llrs(t)
+            bank.take(np.array(rows))
+            bank.update_partial_sums(t, rng.integers(0, 2, len(rows)).astype(np.int8))
+            assert bank.llr.shape == (len(rows), 15)
+        assert np.array_equal(bank.channel, llrs)
+        assert bank.channel.shape == (16,) and not bank.channel.flags.writeable
+        assert not np.shares_memory(bank.channel, bank._llr_buf)
 
     def test_noiseless_bank_recovers_bits(self, rng):
         # decoding with huge-magnitude true-codeword LLRs recovers u exactly

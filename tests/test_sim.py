@@ -1,4 +1,5 @@
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -221,5 +222,21 @@ class TestSerialization:
         assert doc["plan"]["gen_octal"] == "0o3"
         assert doc["plan"]["info_set"] == list(plan.code.A)
         assert len(doc["results"]) == 1
-        assert doc["results"][0]["trials"] == points[0].trials
-        assert "wall_time" not in doc["results"][0]
+        result, point = doc["results"][0], points[0]
+        assert result["trials"] == point.trials
+        assert "wall_time" not in result
+        assert result["wall_time_s"] == point.wall_time > 0
+        assert result["frames_per_s"] == point.trials / point.wall_time
+        assert (result["fer_low"], result["fer_high"]) == confidence_interval(point)
+        assert result["fer_low"] <= result["fer"] <= result["fer_high"]
+
+    def test_csv_bytes_carry_no_timings(self):
+        # the JSON envelope's timings stay out of the CSV: its bytes are fixed by the seed alone
+        plan = small_plan(snr_points=(2.0,), min_frame_errors=2, max_trials=50)
+        (point,) = run_sweep(plan)
+        text = csv_text(plan, [point])
+        assert text == (
+            "ebno_db,trials,frame_errors,bit_errors,fer,ber,seed,decoder,sort,list,m,gen_octal\n"
+            "2.0,25,2,5,0.08,0.025,11,scl,global,2,1,0o3\n"
+        )
+        assert csv_text(plan, [replace(point, wall_time=point.wall_time * 7 + 1)]) == text
