@@ -8,15 +8,14 @@ input values, such as non-finite LLRs or SNR points), 3 on runtime failures
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
 from . import sim
-from .decoder import _DECODER_NAMES, METRIC_MODES, SORTING_MODES, DecoderConfig, decode
-from .pac_core import PacCode, load_code_spec, parse_gen, parse_profile, rm_rate_profile
+from .decoder import _DECODER_NAMES, METRIC_MODES, DecoderConfig, decode
+from .pac_core import PacCode, load_code_spec, parse_profile, rm_rate_profile
 from .sc_engine import COMBINING_RULES
 from .sorter import latency_report
 
@@ -48,47 +47,28 @@ def _resolve_code(args) -> PacCode:
         raise UsageError("give --n (log2 length), --N (block length), or --code FILE")
     if args.k is None:
         raise UsageError("--k is required")
-    g = parse_gen(args.gen)
-    return PacCode(n=n, K=args.k, A=parse_profile(args.profile, n, args.k), g=g)
+    return PacCode(n=n, K=args.k, A=parse_profile(args.profile, n, args.k), g=args.gen)
 
 
 def _add_decoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--decoder", choices=tuple(_DECODER_NAMES),
-                   help="decoder name (shorthand for --sort/--list)")
-    p.add_argument("--sort", choices=SORTING_MODES, help="path sorting strategy")
+    p.add_argument("--decoder", choices=tuple(_DECODER_NAMES), default="sc",
+                   help="decoder: sc, scl (--list L), va or lva (--list L per state); default sc")
     p.add_argument("--list", type=int, dest="list_size",
-                   help="survivors kept per sort (per state when local)")
+                   help="survivors kept for scl, or per state for lva")
     p.add_argument("--metric", choices=METRIC_MODES, default="approximate")
     p.add_argument("--combining", choices=COMBINING_RULES, default="min-sum")
 
 
 def _resolve_decoder(args, code: PacCode) -> DecoderConfig:
-    sorting, list_size = args.sort, args.list_size
-    if args.decoder:
-        name_sort, name_list = _DECODER_NAMES[args.decoder]
-        if sorting is not None or (list_size is not None and name_list == 1):
-            print(
-                f"warning: explicit --sort/--list override --decoder {args.decoder}",
-                file=sys.stderr,
-            )
-        sorting = sorting if sorting is not None else name_sort
-        if list_size is None:
-            if name_list is None:
-                raise UsageError(f"--decoder {args.decoder} needs --list")
-            list_size = name_list
-    sorting = sorting if sorting is not None else "global"
-    list_size = list_size if list_size is not None else 1
-    if sorting == "local" and code.m == 0:
-        raise UsageError(
-            f"--sort local needs a generator with memory (gen {code.gen_octal} has m = 0); "
-            "use --sort global"
-        )
-    return DecoderConfig(
-        sorting=sorting,
-        list_size=list_size,
-        metric_mode=args.metric,
-        combining_rule=args.combining,
+    config = DecoderConfig.from_name(
+        args.decoder, args.list_size, metric_mode=args.metric, combining_rule=args.combining
     )
+    if config.sorting == "local" and code.m == 0:
+        raise UsageError(
+            f"--decoder {args.decoder} sorts per register state and needs a generator with "
+            f"memory (gen {code.gen_octal} has m = 0); use --decoder sc or scl"
+        )
+    return config
 
 
 def _parse_message(text: str, K: int) -> np.ndarray:
@@ -146,7 +126,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     code = _resolve_code(args)
     config = _resolve_decoder(args, code)
-    if args.llr_file:
+    if args.llr_file is not None:
         with open(args.llr_file) as fh:
             text = fh.read()
     else:
@@ -225,8 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode a vector of channel LLRs")
     _add_code_flags(p)
     _add_decoder_flags(p)
-    p.add_argument("--llr", help="comma/space separated channel LLRs")
-    p.add_argument("--llr-file", help="file of channel LLRs")
+    llrs = p.add_mutually_exclusive_group(required=True)
+    llrs.add_argument("--llr", help="comma/space separated channel LLRs")
+    llrs.add_argument("--llr-file", help="file of channel LLRs")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("simulate", help="Monte-Carlo FER/BER sweep")
@@ -238,12 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1, help="master seed")
     p.add_argument("--out", help="CSV output path (stdout if omitted)")
     p.add_argument("--json", help="also write a JSON envelope here")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=int(os.environ.get("PACTRELLIS_WORKERS", "1")),
-        help="parallel workers (does not change results)",
-    )
+    p.add_argument("--workers", type=int, default=1,
+                   help="parallel workers (does not change results)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("latency", help="sorting-stage latency table")

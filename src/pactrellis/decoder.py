@@ -84,14 +84,25 @@ class DecoderConfig:
 
     @classmethod
     def from_name(cls, name: str, list_size: int | None = None, **kwargs) -> "DecoderConfig":
-        """Build a config from a decoder name: sc, scl, va or lva."""
+        """Build a config from a decoder name: sc, scl, va or lva.
+
+        scl and lva need a list size; sc and va keep one survivor (per state
+        for va), so they take no list size other than 1.
+        """
         try:
             sorting, implied = _DECODER_NAMES[name]
         except KeyError:
             raise ValueError(f"decoder name must be one of {sorted(_DECODER_NAMES)}, got {name!r}")
-        if implied is None and list_size is None:
-            raise ValueError(f"decoder {name!r} needs an explicit list size")
-        return cls(sorting=sorting, list_size=implied if implied is not None else list_size, **kwargs)
+        if list_size is None:
+            if implied is None:
+                raise ValueError(f"decoder {name!r} needs an explicit list size")
+            list_size = implied
+        elif implied is not None and list_size != implied:
+            raise ValueError(
+                f"decoder {name!r} keeps list size {implied}, got {list_size}; "
+                "scl and lva take a list size"
+            )
+        return cls(sorting=sorting, list_size=list_size, **kwargs)
 
     @property
     def name(self) -> str:

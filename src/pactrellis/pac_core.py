@@ -24,7 +24,6 @@ __all__ = [
     "polar_transform",
     "pac_encode",
     "parity_table",
-    "shift_state",
     "parse_profile",
     "parse_code_spec",
     "load_code_spec",
@@ -119,7 +118,7 @@ class PacCode:
     @classmethod
     def rm(cls, n: int, K: int, gen) -> "PacCode":
         """Construct a code with the Hamming-weight (Reed-Muller style) rate profile."""
-        return cls(n=n, K=K, A=rm_rate_profile(n, K), g=parse_gen(gen))
+        return cls(n=n, K=K, A=rm_rate_profile(n, K), g=gen)
 
 
 def rm_rate_profile(n: int, K: int) -> tuple:
@@ -172,7 +171,7 @@ def conv_inverse(u, g) -> np.ndarray:
     for i in range(u.size):
         vi = int(u[i]) ^ int(tab[s])
         v[i] = vi
-        s = shift_state(s, vi, m)
+        s = (s >> 1) | (vi << (m - 1)) if m else 0
     return v
 
 
@@ -182,12 +181,12 @@ def polar_transform(u) -> np.ndarray:
     N = x.size
     if N < 1 or N & (N - 1):
         raise ValueError(f"length must be a power of two, got {N}")
-    step = 2
-    while step <= N:
-        half = step // 2
-        for j in range(0, N, step):
-            x[j : j + half] ^= x[j + half : j + step]
-        step *= 2
+    h = 1
+    while h < N:
+        # every block of 2h: left half ^= right half
+        blocks = x.reshape(-1, 2, h)
+        blocks[:, 0] ^= blocks[:, 1]
+        h *= 2
     return x
 
 
@@ -198,7 +197,7 @@ def pac_encode(d, code: PacCode) -> np.ndarray:
     return polar_transform(u)
 
 
-# --- shift-register helpers shared with the trellis decoder --------------------
+# --- register states, shared with the trellis decoder --------------------------
 #
 # A register state is packed into an integer with the most recent input bit in
 # the most significant of m positions, so shifting in a bit is
@@ -215,15 +214,6 @@ def parity_table(g) -> np.ndarray:
     mask = sum(1 << (m - j) for j in range(1, m + 1) if g[j])
     states = np.arange(1 << m, dtype=np.uint32)
     return (np.bitwise_count(states & np.uint32(mask)) & 1).astype(np.int8)
-
-
-def shift_state(s, v, m: int):
-    """Shift bit v into register state s (integer or array of integers)."""
-    if m == 0:
-        return s if np.ndim(s) else 0
-    if np.ndim(s):
-        return (s >> 1) | (np.asarray(v).astype(s.dtype) << (m - 1))
-    return (int(s) >> 1) | (int(v) << (m - 1))
 
 
 # --- code-specification text format ---------------------------------------------
@@ -263,7 +253,7 @@ def parse_code_spec(text: str, base_dir: str = ".") -> PacCode:
             raise ValueError(f"code spec is missing required key {req!r}")
     n, K = int(fields["n"]), int(fields["k"])
     A = parse_profile(fields.get("profile", "rm"), n, K, base_dir)
-    return PacCode(n=n, K=K, A=A, g=parse_gen(fields["gen"]))
+    return PacCode(n=n, K=K, A=A, g=fields["gen"])
 
 
 def load_code_spec(path: str) -> PacCode:

@@ -25,7 +25,6 @@ __all__ = [
     "ContractViolationError",
     "f_minsum",
     "f_exact",
-    "g_combine",
     "ScBank",
 ]
 
@@ -51,11 +50,6 @@ def f_exact(a, b, out=None):
     """Check-node combine, exact rule 2 atanh(tanh(a/2) tanh(b/2)), clipped for safety."""
     t = np.tanh(0.5 * np.asarray(a, dtype=float)) * np.tanh(0.5 * np.asarray(b, dtype=float))
     return np.multiply(2.0, np.arctanh(np.clip(t, -_ATANH_LIMIT, _ATANH_LIMIT)), out=out)
-
-
-def g_combine(a, b, c):
-    """Variable-node combine: b + (1 - 2c) a for committed partial sum c."""
-    return b + (1.0 - 2.0 * np.asarray(c, dtype=float)) * a
 
 
 class ScBank:
@@ -107,9 +101,11 @@ class ScBank:
         The returned vector is a view, valid until the next ``update_llrs``
         or ``take``.
         """
-        if self._pending or t != self._t:
+        if self._pending or t != self._t or t >= self.N:
+            expected = (f"next expected bit is {self._t}" if self._t < self.N
+                        else f"all {self.N} bits are committed")
             raise ContractViolationError(
-                f"update_llrs({t}) out of order: next expected bit is {self._t}"
+                f"update_llrs({t}) out of order: {expected}"
                 + (" (pending commit)" if self._pending else "")
             )
         # src is the block that stage s reads: the shared channel vector for s = n - 1

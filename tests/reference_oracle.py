@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pactrellis.pac_core import PacCode, parity_table, shift_state
+from pactrellis.pac_core import PacCode
 
 __all__ = [
     "generator_matrix",
@@ -250,7 +250,8 @@ def polar_sc_reference(channel_llrs, info_set) -> np.ndarray:
 def naive_scl_reference(channel_llrs, code: PacCode, L: int, mode="approximate"):
     """Simplicity-first SC list decoder with global pruning, written as a tree recursion.
 
-    Tracks the register state of the pre-transform per path.  Pruning keeps
+    Reads each bit of the pre-transform from its path's own past bits by the
+    convolution u_t = sum_j g_j v_{t-j} over GF(2).  Pruning keeps
     the L smallest (metric, creation id) paths and orders survivors the same
     way, so outputs are directly comparable with the production decoder's
     global mode.
@@ -259,35 +260,35 @@ def naive_scl_reference(channel_llrs, code: PacCode, L: int, mode="approximate")
     N, m = code.N, code.m
     frozen = np.ones(N, dtype=bool)
     frozen[list(code.A)] = False
-    ptab = parity_table(code.g)
+    g = np.asarray(code.g, dtype=np.int64)
 
     st = {
         "metrics": np.zeros(1),
         "ids": np.zeros(1, dtype=np.int64),
-        "states": np.zeros(1, dtype=np.int64),
         "v": np.zeros((1, N), dtype=np.int8),
         "next_id": 1,
     }
+
+    def conv_u0(t):
+        # u_t for v_t = 0: g_1 v_{t-1} + ... + g_m v_{t-m}, each path from its own bits
+        j = np.arange(1, min(m, t) + 1)
+        return ((st["v"][:, t - j] @ g[j]) & 1).astype(np.int8)
 
     def leaf(lam, t):
         lam = lam[:, 0]
         P = lam.size
         if frozen[t]:
-            u = ptab[st["states"]]
+            u = conv_u0(t)
             st["metrics"] = st["metrics"] + _penalty(lam, u, mode)
-            st["states"] = shift_state(st["states"], 0, m)
             st["v"][:, t] = 0
             return u[:, None], np.arange(P)
-        u0 = ptab[st["states"]]
+        u0 = conv_u0(t)
         u1 = u0 ^ 1
         st["metrics"] = np.concatenate(
             [st["metrics"] + _penalty(lam, u0, mode), st["metrics"] + _penalty(lam, u1, mode)]
         )
         st["ids"] = np.concatenate([st["ids"], np.arange(P, dtype=np.int64) + st["next_id"]])
         st["next_id"] += P
-        s0 = shift_state(st["states"], 0, m)
-        s1 = shift_state(st["states"], 1, m) if m else st["states"]
-        st["states"] = np.concatenate([s0, s1])
         st["v"] = np.concatenate([st["v"], st["v"]], axis=0)
         st["v"][:P, t] = 0
         st["v"][P:, t] = 1
@@ -297,7 +298,6 @@ def naive_scl_reference(channel_llrs, code: PacCode, L: int, mode="approximate")
             keep = np.lexsort((st["ids"], st["metrics"]))[:L]
             st["metrics"] = st["metrics"][keep]
             st["ids"] = st["ids"][keep]
-            st["states"] = st["states"][keep]
             st["v"] = st["v"][keep]
             u_all = u_all[keep]
             origin = origin[keep]

@@ -85,6 +85,15 @@ class TestDecodeCommand:
         assert rc == 2
         assert out == "" and "finite" in err
 
+    @pytest.mark.parametrize("llr_flags", [(), ("--llr=1,1,1,1,1,1,1,1", "--llr-file", "x.txt")],
+                             ids=["neither", "both"])
+    def test_llrs_from_exactly_one_flag(self, llr_flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["decode", "--n", "3", "--k", "4", "--gen", "0o3", *llr_flags])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == "" and "--llr" in err
+
 
 class TestSimulate:
     BASE = ("simulate", "--n", "4", "--k", "8", "--gen", "0o3",
@@ -93,16 +102,14 @@ class TestSimulate:
     def test_sc_equals_scl_l1_global(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         rc1, _, _ = run_cli(*self.BASE, "--decoder", "sc", "--out", str(a))
-        rc2, _, _ = run_cli(*self.BASE, "--decoder", "scl", "--list", "1", "--sort", "global",
-                            "--out", str(b))
+        rc2, _, _ = run_cli(*self.BASE, "--decoder", "scl", "--list", "1", "--out", str(b))
         assert rc1 == rc2 == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_va_equals_lva_l1_local(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         rc1, _, _ = run_cli(*self.BASE, "--decoder", "va", "--out", str(a))
-        rc2, _, _ = run_cli(*self.BASE, "--decoder", "lva", "--list", "1", "--sort", "local",
-                            "--out", str(b))
+        rc2, _, _ = run_cli(*self.BASE, "--decoder", "lva", "--list", "1", "--out", str(b))
         assert rc1 == rc2 == 0
         assert a.read_bytes() == b.read_bytes()
 
@@ -120,17 +127,20 @@ class TestSimulate:
 
     def test_local_sort_needs_memory(self):
         rc, _, err = run_cli("simulate", "--n", "4", "--k", "8", "--gen", "0o1",
-                             "--snr", "2.0", "--sort", "local", "--list", "2")
+                             "--snr", "2.0", "--decoder", "lva", "--list", "2")
         assert rc == 2
         assert "m = 0" in err or "memory" in err
 
-    def test_decoder_sugar_overridden_with_warning(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        rc, _, err = run_cli(*self.BASE, "--decoder", "sc", "--list", "4", "--out", str(a))
-        assert rc == 0
-        assert "override" in err
-        run_cli(*self.BASE, "--decoder", "scl", "--list", "4", "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize("flags", [("--decoder", "sc", "--list", "4"),
+                                       ("--decoder", "va", "--list", "2"),
+                                       ("--decoder", "scl")],
+                             ids=["sc-list-4", "va-list-2", "scl-no-list"])
+    def test_list_size_must_match_decoder(self, flags, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        rc = cli.main([*self.BASE, *flags, "--out", str(out)])
+        assert rc == 2
+        assert "list size" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("snr", ["nan", "2.0,inf"])
     def test_non_finite_snr_is_usage_error(self, snr, tmp_path, capsys):

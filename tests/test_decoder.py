@@ -74,6 +74,11 @@ class TestDecoderConfig:
             DecoderConfig(metric_mode="guess")
         with pytest.raises(ValueError):
             DecoderConfig.from_name("scl")
+        # sc and va keep one survivor: a list size that contradicts the name is an error
+        for name, list_size in (("sc", 4), ("va", 2)):
+            with pytest.raises(ValueError, match="scl and lva take a list size"):
+                DecoderConfig.from_name(name, list_size)
+        assert DecoderConfig.from_name("sc", 1) == DecoderConfig("global", 1)
 
     def test_budget(self):
         assert DecoderConfig("global", 8).budget(m=4) == 8

@@ -9,7 +9,6 @@ from pactrellis.sc_engine import (
     ScBank,
     f_exact,
     f_minsum,
-    g_combine,
 )
 
 
@@ -58,8 +57,12 @@ class TestCombiners:
         assert np.array_equal(f_minsum(a, b), expect)
 
     def test_g_combine(self):
-        assert g_combine(2.0, 3.0, 0) == 5.0
-        assert g_combine(2.0, 3.0, 1) == 1.0
+        # the g-update of bit 1 at N = 2: b + (1 - 2u) a for channel LLRs (a, b)
+        for u, expect in ((0, 5.0), (1, 1.0)):
+            sc = ScBank([2.0, 3.0])
+            sc.update_llrs(0)
+            sc.update_partial_sums(0, u)
+            assert sc.update_llrs(1)[0] == expect
 
 
 class TestScratchSmall:
@@ -160,6 +163,15 @@ class TestCallOrderContract:
         sc = ScBank(np.ones(4))
         with pytest.raises(ContractViolationError):
             sc.update_partial_sums(0, 0)
+
+    @pytest.mark.parametrize("N", [1, 4])
+    def test_no_bit_past_the_last(self, N):
+        sc = ScBank(np.arange(1.0, N + 1.0))
+        for t in range(N):
+            sc.update_llrs(t)
+            sc.update_partial_sums(t, 0)
+        with pytest.raises(ContractViolationError, match="committed"):
+            sc.update_llrs(N)
 
 
 class TestBankBatching:
