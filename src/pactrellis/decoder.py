@@ -14,10 +14,15 @@ special cases fall out of the configuration:
 All per-path state lives in parallel arrays (one row per path) so that every
 operation is applied to the whole survivor set in a handful of vector ops.
 An information bit selects before it copies: survivors are chosen from the
-children's metrics, states and ids, and only then is the SC bank gathered,
-once, from their parent rows, so it never holds more rows than the budget.
+children's metrics and states, and only then is the SC bank gathered, once,
+from their parent rows, so it never holds more rows than the budget.
 Paths keep no histories: each information bit stores a backpointer (parent
 row, bit) per survivor, and the winner is read back by one traceback.
+
+Rows keep their order, so a row's position is its age: a v = 0 child takes
+its parent's row, the v = 1 children follow every older path, and a cut
+keeps its survivors in order.  An exact metric tie goes to the earlier row,
+and one grouped selection serves both sorting modes (see ``prune``).
 
 Both metric modes charge a bit by one rule: deciding u against decision LLR
 lam costs phi(0, z), z = (2u - 1) lam, with phi = max (approximate) or
@@ -152,26 +157,24 @@ class PathSet:
         self.bank = ScBank(llrs, combining=config.combining_rule, capacity=cap)
         self.states = np.zeros(1, dtype=np.int64)
         self.metrics = np.zeros(1, dtype=float)
-        self.ids = np.zeros(1, dtype=np.int64)
-        self.next_id = 1
         self.parents = []
         self.bits = []
         self._ptab = parity_table(code.g)
         self._sign = 2.0 * self._ptab - 1.0  # (2u - 1) per register state
         self._phi = _PHI[config.metric_mode]
         self._high = (1 << code.m) >> 1  # register bit that v = 1 sets (0 when m = 0)
-        # children of an information bit: states, metrics and creation ids
-        self._kids = (np.empty(2 * cap, np.int64), np.empty(2 * cap), np.empty(2 * cap, np.int64))
+        # children of an information bit: states and metrics
+        self._kids = (np.empty(2 * cap, np.int64), np.empty(2 * cap))
 
     @property
     def size(self) -> int:
         return self.metrics.size
 
     def ranking(self) -> np.ndarray:
-        """Rows best first: smallest metric, then smallest creation id."""
+        """Rows best first: smallest metric, then earliest row (a stable sort)."""
         if self.size == 0:
             raise ContractViolationError("no surviving paths to select from")
-        return np.lexsort((self.ids, self.metrics))
+        return np.argsort(self.metrics, kind="stable")
 
     def traceback(self, row: int) -> np.ndarray:
         """The information bits decided so far along the path that ends in ``row``."""
@@ -197,9 +200,9 @@ def extend_info(paths: PathSet, t: int, observer=None) -> PathSet:
 
     Both children encode from the parent's pre-extension register state.
     The path arrays are replaced by the children's (v = 0 children first, v = 1
-    children after them in parent order, with fresh creation ids), and
-    ``prune`` (given ``observer``) selects among them; only then are the
-    survivors' parent rows of the bank gathered and their bits committed.
+    children after them, both in parent order), and ``prune`` (given
+    ``observer``) selects among them; only then are the survivors' parent
+    rows of the bank gathered and their bits committed.
     The children are written into arrays reused at every information bit, so
     the observer's arrays are valid only during its call.
     """
@@ -207,16 +210,13 @@ def extend_info(paths: PathSet, t: int, observer=None) -> PathSet:
     P = paths.size
     u0 = paths._ptab[paths.states]
     z = paths._sign[paths.states] * lam
-    states, metrics, ids = (a[: 2 * P] for a in paths._kids)
+    states, metrics = (a[: 2 * P] for a in paths._kids)
     # the path arrays may be the first halves of these: write the second halves first
     np.add(paths.metrics, paths._phi(0.0, -z), out=metrics[P:])
     np.add(paths.metrics, paths._phi(0.0, z), out=metrics[:P])
     np.right_shift(paths.states, 1, out=states[:P])
     np.bitwise_or(states[:P], paths._high, out=states[P:])
-    ids[:P] = paths.ids
-    ids[P:] = np.arange(paths.next_id, paths.next_id + P)
-    paths.states, paths.metrics, paths.ids = states, metrics, ids
-    paths.next_id += P
+    paths.states, paths.metrics = states, metrics
     keep = prune(paths, observer=observer)
     parent = keep % P
     bit = (keep >= P).astype(np.int8)
@@ -228,37 +228,36 @@ def extend_info(paths: PathSet, t: int, observer=None) -> PathSet:
 
 
 def prune(paths: PathSet, observer=None) -> np.ndarray:
-    """Narrow the path arrays to the survivors; return the rows kept.
+    """Narrow the path arrays to the survivors; return the kept rows, in row order.
 
     All rows are kept while within the budget of ``paths.config``.  Over it,
-    global sorting keeps the list_size smallest-metric paths overall and local
-    sorting keeps the list_size smallest per register state.  Ties break on creation id, and
-    after a cut survivors are ordered by (metric, id).  Only states, metrics
-    and ids are narrowed: gathering the bank is the caller's job.
-    ``observer(states, metrics, ids, keep)`` sees every cut.
+    the rows form equal contiguous groups, one under global sorting and one
+    per occupied register state under local sorting, and each keeps its
+    list_size smallest metrics, a tie going to the earlier row.  Only states
+    and metrics are narrowed, not the bank; ``observer(states, metrics, keep)`` sees cuts.
+
+    Under local sorting the rows stay sorted by state, with equal counts in
+    the occupied states, by induction: a shift keeps the states in order, the
+    v = 0 children's states all precede the v = 1 children's, and a cut leaves
+    list_size paths in every occupied state.  The occupied states are those
+    whose bits written at information bits take every value and whose other
+    bits are 0, so the last row's state, all free bits set, counts the groups.
     """
     cfg = paths.config
-    if paths.size <= cfg.budget(paths.code.m):
-        return np.arange(paths.size)
-    if cfg.sorting == "global":
-        order = np.lexsort((paths.ids, paths.metrics))
-        keep = order[: cfg.list_size]
-    else:
-        order = np.lexsort((paths.ids, paths.metrics, paths.states))
-        st = paths.states[order]
-        first = np.empty(st.size, dtype=bool)
-        first[0] = True
-        first[1:] = st[1:] != st[:-1]
-        starts = np.flatnonzero(first)
-        group = np.cumsum(first) - 1
-        rank = np.arange(st.size) - starts[group]
-        kept = order[rank < cfg.list_size]
-        keep = kept[np.lexsort((paths.ids[kept], paths.metrics[kept]))]
+    size = paths.size
+    if size <= cfg.budget(paths.code.m):
+        return np.arange(size)
+    groups = 1 if cfg.sorting == "global" else 1 << int(paths.states[-1]).bit_count()
+    width = size // groups
+    keep = paths.metrics.reshape(groups, width).argsort(kind="stable")[:, : cfg.list_size]
+    if groups > 1:  # positions in groups to rows; for one group the add would outcost the sort
+        keep = keep + np.arange(0, size, width)[:, None]
+    keep = keep.ravel()
+    keep.sort()
     if observer is not None:
-        observer(paths.states, paths.metrics, paths.ids, keep)
+        observer(paths.states, paths.metrics, keep)
     paths.states = paths.states[keep]
     paths.metrics = paths.metrics[keep]
-    paths.ids = paths.ids[keep]
     return keep
 
 
@@ -271,7 +270,6 @@ class DecodeResult:
     v_hat: np.ndarray
     u_hat: np.ndarray
     survivor_metrics: np.ndarray = field(repr=False, default=None)
-    survivor_ids: np.ndarray = field(repr=False, default=None)
 
 
 def decode(channel_llrs, code: PacCode, config: DecoderConfig,
@@ -281,22 +279,19 @@ def decode(channel_llrs, code: PacCode, config: DecoderConfig,
     Decoding starts from a single zero-state, zero-metric path and walks
     t = 0 .. N-1, extending at every index and selecting survivors at
     information indices.  Returns the winner's message bits (read back by
-    traceback), its v and u = conv(v, g), and its final metric.
+    traceback), its v and u = conv(v, g), and its final metric.  The winner
+    has the smallest metric, a tie going to the earlier row, the older path.
 
     ``step_hook(t, paths)`` is called after each bit; ``prune_observer``
-    receives (t, states, metrics, ids, kept_rows) at every pruning event.
+    receives (t, states, metrics, kept_rows) at every pruning event.
     """
     paths = PathSet(channel_llrs, code, config)
-    frozen = np.ones(code.N, dtype=bool)
-    frozen[list(code.A)] = False
-    observer = None
+    info = set(code.A)
     for t in range(code.N):
-        if frozen[t]:
-            extend_frozen(paths, t)
+        if t in info:
+            extend_info(paths, t, partial(prune_observer, t) if prune_observer else None)
         else:
-            if prune_observer is not None:
-                observer = partial(prune_observer, t)
-            extend_info(paths, t, observer)
+            extend_frozen(paths, t)
         if step_hook is not None:
             step_hook(t, paths)
     order = paths.ranking()
@@ -308,6 +303,5 @@ def decode(channel_llrs, code: PacCode, config: DecoderConfig,
         metric=float(paths.metrics[win]),
         v_hat=v_hat,
         u_hat=conv_transform(v_hat, code.g),
-        survivor_metrics=paths.metrics[order].copy(),
-        survivor_ids=paths.ids[order].copy(),
+        survivor_metrics=paths.metrics[order],
     )

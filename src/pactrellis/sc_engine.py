@@ -28,10 +28,6 @@ __all__ = [
     "ScBank",
 ]
 
-# tanh saturates to 1.0 in float64 near |x| ~ 19, so products of tanh(llr/2)
-# stay strictly inside (-1, 1) for |llr| < 30; the clip only bites beyond that.
-_ATANH_LIMIT = 1.0 - 1e-15
-
 COMBINING_RULES = ("min-sum", "exact")
 
 _SIGN = np.array([1.0, -1.0])  # 1 - 2c for partial sum c
@@ -47,9 +43,14 @@ def f_minsum(a, b, out=None):
 
 
 def f_exact(a, b, out=None):
-    """Check-node combine, exact rule 2 atanh(tanh(a/2) tanh(b/2)), clipped for safety."""
-    t = np.tanh(0.5 * np.asarray(a, dtype=float)) * np.tanh(0.5 * np.asarray(b, dtype=float))
-    return np.multiply(2.0, np.arctanh(np.clip(t, -_ATANH_LIMIT, _ATANH_LIMIT)), out=out)
+    """Check-node combine, exact rule 2 atanh(tanh(a/2) tanh(b/2)) (into ``out`` if given).
+
+    Evaluated as sign(a) sign(b) min(|a|, |b|) + log1p(e^-|a+b|) - log1p(e^-|a-b|),
+    accurate to about 1e-16 at any finite LLR; the tanh form saturates once
+    tanh(|x|/2) rounds to 1 (|x| near 38).
+    """
+    fix = np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
+    return np.add(f_minsum(a, b), fix, out=out)
 
 
 class ScBank:

@@ -158,6 +158,8 @@ def run_point(plan: SimPlan, snr_index: int, workers: int = 1, executor=None) ->
     before the true stopping trial, and one that stops early brings the total
     to the target.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     t0 = time.perf_counter()
     own = executor is None and workers > 1
     pool = ProcessPoolExecutor(max_workers=workers) if own else executor

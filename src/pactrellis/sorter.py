@@ -156,6 +156,8 @@ class LatencyReport:
 
 def latency_report(K: int, L: int, m: int) -> LatencyReport:
     """Compare global-sort and per-state-sort latency for K info bits, L survivors, memory m."""
+    if K < 1:
+        raise ValueError(f"K must be at least 1 information bit, got {K}")
     ld = psi_ld(L)
     lva = psi_lva(L, m)
     return LatencyReport(

@@ -102,8 +102,9 @@ def conv_1bit_encode(v: int, state, g) -> tuple:
 def _f(a, b, rule):
     if rule == "min-sum":
         return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-    t = np.tanh(0.5 * a) * np.tanh(0.5 * b)
-    return 2.0 * np.arctanh(np.clip(t, -(1.0 - 1e-15), 1.0 - 1e-15))
+    # 2 atanh(tanh(a/2) tanh(b/2)), in a form that does not saturate at large |a|, |b|
+    return (np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+            + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b))))
 
 
 def _g(a, b, c):
@@ -252,9 +253,10 @@ def naive_scl_reference(channel_llrs, code: PacCode, L: int, mode="approximate")
 
     Reads each bit of the pre-transform from its path's own past bits by the
     convolution u_t = sum_j g_j v_{t-j} over GF(2).  Pruning keeps
-    the L smallest (metric, creation id) paths and orders survivors the same
-    way, so outputs are directly comparable with the production decoder's
-    global mode.
+    the L smallest (metric, creation id) paths and leaves them in their row
+    order, which keeps creation ids ascending down the rows, so outputs are
+    directly comparable with the production decoder's global mode, which
+    breaks ties on row position.
     """
     llrs = np.asarray(channel_llrs, dtype=float)
     N, m = code.N, code.m
@@ -295,7 +297,7 @@ def naive_scl_reference(channel_llrs, code: PacCode, L: int, mode="approximate")
         u_all = np.concatenate([u0, u1])
         origin = np.concatenate([np.arange(P), np.arange(P)])
         if 2 * P > L:
-            keep = np.lexsort((st["ids"], st["metrics"]))[:L]
+            keep = np.sort(np.lexsort((st["ids"], st["metrics"]))[:L])
             st["metrics"] = st["metrics"][keep]
             st["ids"] = st["ids"][keep]
             st["v"] = st["v"][keep]

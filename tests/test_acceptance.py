@@ -117,13 +117,13 @@ def test_criterion_4_degenerate_identities():
     rng = np.random.default_rng(4200)
     acs = {"merges": 0, "ok": True}
 
-    def observer(t, states, metrics, ids, keep):
+    def observer(t, states, metrics, keep):
         kept = np.zeros(states.size, dtype=bool)
         kept[keep] = True
         for s in np.unique(states):
             rows = np.flatnonzero(states == s)
             acs["merges"] += 1
-            best = rows[np.lexsort((ids[rows], metrics[rows]))[0]]
+            best = rows[np.argsort(metrics[rows], kind="stable")[0]]
             if not kept[best] or kept[rows].sum() != 1:
                 acs["ok"] = False
 

@@ -151,6 +151,15 @@ class TestSimulate:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_usage_error(self, workers, tmp_path, capsys):
+        # used to run serially with exit 0
+        out = tmp_path / "r.csv"
+        rc = cli.main([*self.BASE, "--decoder", "sc", "--workers", workers, "--out", str(out)])
+        assert rc == 2
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_broken_process_pool_is_runtime_error(self, monkeypatch, capsys):
         def broken(plan, workers=1):
             raise BrokenProcessPool("a worker process died")
@@ -209,6 +218,14 @@ class TestLatency:
     def test_invalid_params(self):
         rc, _, _ = run_cli("latency", "--k", "128", "--list", "12", "--m", "4")
         assert rc == 2
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_k_below_one_is_usage_error(self, k, capsys):
+        # --k 0 used to die in a ZeroDivisionError, --k -3 to print negative totals
+        rc = cli.main(["latency", "--k", k, "--list", "4", "--m", "1"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert "K must be at least 1" in err and out == ""
 
 
 class TestProfile:

@@ -29,15 +29,13 @@ def noiseless_llrs(code, d, mag=60.0):
     return (1.0 - 2.0 * pac_encode(d, code)) * mag
 
 
-def build_pathset(code, metrics, states, ids=None, config=DecoderConfig()):
+def build_pathset(code, metrics, states, config=DecoderConfig()):
     """Hand-built PathSet for prune/select tests; bank rows are placeholders."""
     ps = PathSet(np.ones(code.N), code, config)
     P = len(metrics)
     ps.bank.take(np.zeros(P, dtype=np.intp))
     ps.metrics = np.asarray(metrics, dtype=float)
     ps.states = np.asarray(states, dtype=np.int64)
-    ps.ids = np.arange(P, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
-    ps.next_id = P
     return ps
 
 
@@ -176,7 +174,8 @@ class TestExtendInfo:
         assert ps.size == 2
         assert ps.metrics[0] == branch_metric(lam, 0, "approximate")
         assert ps.metrics[1] == branch_metric(lam, 1, "approximate")
-        assert list(ps.ids) == [0, 1]
+        # the v = 0 child keeps its parent's row and the v = 1 child comes after it
+        assert [ps.traceback(i)[0] for i in range(ps.size)] == [0, 1]
 
     def test_exactly_one_child_penalized(self, rng):
         code = PacCode.rm(4, 8, 0o3)
@@ -204,14 +203,15 @@ class TestExtendInfo:
 
 
 class TestPrune:
-    # prune narrows states, metrics and ids and returns the kept rows; the bank is the caller's
+    # prune narrows states and metrics and returns the kept rows; the bank is the caller's
     def test_global_keeps_k_smallest(self):
         code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
         ps = build_pathset(code, [5.0, 1.0, 8.0, 3.0, 2.0, 7.0, 4.0, 6.0], [0] * 8,
                            config=DecoderConfig("global", 4))
         keep = prune(ps)
-        assert list(ps.metrics) == [1.0, 2.0, 3.0, 4.0]
-        assert list(keep) == [1, 4, 3, 6]
+        # the four smallest metrics, kept in the order their rows had
+        assert list(ps.metrics) == [1.0, 3.0, 2.0, 4.0]
+        assert list(keep) == [1, 3, 4, 6]
 
     def test_local_per_state_minimum(self):
         code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
@@ -229,11 +229,12 @@ class TestPrune:
         assert list(keep) == [0, 1]
 
     def test_tie_breaks_on_id(self):
+        # a tie goes to the earlier row, the older path
         code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
-        ps = build_pathset(code, [1.0, 1.0, 1.0], [0, 0, 0], ids=[7, 2, 5],
+        ps = build_pathset(code, [2.0, 1.0, 1.0, 1.0], [0, 0, 0, 0],
                            config=DecoderConfig("global", 2))
-        prune(ps)
-        assert list(ps.ids) == [2, 5]
+        assert list(prune(ps)) == [1, 2]
+        assert list(ps.metrics) == [1.0, 1.0]
 
 
 class TestSelectWinner:
@@ -247,9 +248,10 @@ class TestSelectWinner:
         assert ps.metrics[ps.ranking()[0]] == 1.1
 
     def test_tie_goes_to_lower_id(self):
+        # a tie goes to the earlier row, the older path
         code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
-        ps = build_pathset(code, [1.1, 1.1], [0, 0], ids=[4, 3])
-        assert ps.ids[ps.ranking()[0]] == 3
+        ps = build_pathset(code, [2.0, 1.1, 1.1], [0, 0, 0])
+        assert list(ps.ranking()) == [1, 2, 0]
 
     def test_empty_set_is_contract_violation(self):
         code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
@@ -333,18 +335,50 @@ class TestDecode:
         code = PacCode.rm(5, 16, 0o7)
         events = []
 
-        def observer(t, states, metrics, ids, keep):
+        def observer(t, states, metrics, keep):
             events.append(True)
             kept = set(keep)
             for s in np.unique(states):
                 rows = np.flatnonzero(states == s)
-                best = rows[np.lexsort((ids[rows], metrics[rows]))[0]]
+                best = rows[np.argsort(metrics[rows], kind="stable")[0]]
                 assert best in kept
                 assert sum(1 for r in rows if r in kept) == 1
 
         for _ in range(20):
             d, llrs = make_trial(code, 1.0, rng)
             decode(llrs, code, DecoderConfig("local", 1), prune_observer=observer)
+        assert events
+
+    @pytest.mark.parametrize("ell", [1, 2, 8])
+    @pytest.mark.parametrize("gen", [0o3, 0o7, 0o73, 0o133], ids=lambda g: f"gen{g:o}")
+    def test_local_rows_stay_state_major(self, gen, ell, rng):
+        # rows stay sorted by register state, and every occupied state holds the same
+        # number of paths: in the children at every prune event, in the survivors and
+        # after every bit.  RM PAC(128,64) puts 7 frozen bits before bits 23, 39 and
+        # 71, which gather every path in state 0 for m <= 7.
+        code = PacCode.rm(7, 64, gen)
+        events = []
+
+        def check(states):
+            assert np.all(np.diff(states) >= 0)
+            occupied, counts = np.unique(states, return_counts=True)
+            assert np.all(counts == counts[0])
+            # the last row's state has every free register bit set
+            assert occupied.size == 1 << int(states[-1]).bit_count()
+
+        def hook(t, ps):
+            check(ps.states)
+            if t in (23, 39, 71):
+                assert set(ps.states) == {0, 1 << (code.m - 1)}
+
+        def observer(t, states, metrics, keep):
+            events.append(t)
+            check(states)
+            check(states[keep])
+
+        for _ in range(3):
+            _, llrs = make_trial(code, 1.5, rng)
+            decode(llrs, code, DecoderConfig("local", ell), step_hook=hook, prune_observer=observer)
         assert events
 
     def test_scaling_invariance_approximate(self, rng):
@@ -385,7 +419,7 @@ class TestDecode:
             assert ps.bank.beta.shape == (ps.size, 2 * code.N - 1)
             rows.append(ps.bank.llr.shape[0])
 
-        def observer(t, states, metrics, ids, keep):
+        def observer(t, states, metrics, keep):
             cuts.append(t)
             assert live[0].bank.llr.shape[0] <= cap < states.size
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import make_trial
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_oracle import (
     chain_rule_neglogp,
     forced_path_metrics,
@@ -12,8 +14,9 @@ from reference_oracle import (
     transform_matrix,
 )
 
-from pactrellis.decoder import DecoderConfig, decode
+from pactrellis.decoder import DecoderConfig, branch_metric, decode
 from pactrellis.pac_core import PacCode, pac_encode
+from pactrellis.sc_engine import ScBank
 
 
 def noiseless_llrs(code, d, mag=60.0):
@@ -95,6 +98,38 @@ class TestProbabilityDomain:
             total = forced_path_metrics(llrs, u, mode="exact", rule="exact")[0]
             assert neglogp.sum() == pytest.approx(total, abs=1e-9)
 
+    def test_large_llrs_match_chain_rule(self, rng):
+        # g-node outputs beyond 35 are routine at N >= 128; the tanh form of the
+        # exact rule saturated there and was off by tens of nats
+        for scale in (20.0, 60.0, 300.0):
+            for _ in range(20):
+                llrs = rng.choice([-1.0, 1.0], 8) * rng.uniform(0.5, 1.5, 8) * scale
+                u = rng.integers(0, 2, 8, dtype=np.int8)
+                neglogp = chain_rule_neglogp(llrs, u)
+                sc = ScBank(llrs, combining="exact")
+                mu = np.empty(8)
+                for t in range(8):
+                    mu[t] = branch_metric(sc.update_llrs(t)[0], int(u[t]), "exact")
+                    sc.update_partial_sums(t, int(u[t]))
+                assert np.allclose(mu, neglogp, rtol=1e-12, atol=1e-9)
+                lam = forced_transcript(llrs, u, rule="exact")
+                assert np.allclose(np.logaddexp(0.0, -(1.0 - 2.0 * u) * lam), neglogp,
+                                   rtol=1e-12, atol=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(-300, 300), b=st.floats(-300, 300),
+           u0=st.integers(0, 1), u1=st.integers(0, 1))
+    def test_f_and_g_match_chain_rule(self, a, b, u0, u1):
+        # at N = 2 bit 0 reads f(a, b) and bit 1 reads g(a, b, u0): each charges -log P(u_t | past, y)
+        sc = ScBank([a, b], combining="exact")
+        lam0 = sc.update_llrs(0)[0]
+        sc.update_partial_sums(0, u0)
+        lam1 = sc.update_llrs(1)[0]
+        mu = [branch_metric(lam0, u0, "exact"), branch_metric(lam1, u1, "exact")]
+        assert np.allclose(mu, chain_rule_neglogp([a, b], [u0, u1]), rtol=1e-12, atol=1e-12)
+        ref = forced_transcript([a, b], [u0, u1], rule="exact")
+        assert np.allclose([lam0, lam1], ref, rtol=1e-12, atol=1e-12)
+
     def test_size_guard(self):
         with pytest.raises(ValueError):
             chain_rule_neglogp(np.zeros(16), np.zeros(16, dtype=np.int8))
@@ -142,3 +177,26 @@ class TestNaiveSclReference:
                 assert np.array_equal(
                     naive_scl_reference(llrs, code, L), decode(llrs, code, cfg).d_hat
                 )
+
+    @pytest.mark.parametrize("L", [2, 4, 8, 16])
+    def test_bit_identical_on_tie_heavy_llrs(self, L, rng):
+        # coarse LLRs make exact metric ties cross cuts, so both tie rules are exercised:
+        # the reference breaks ties on creation id, the decoder on row position
+        code = PacCode.rm(5, 16, 0o133)
+        cfg = DecoderConfig("global", L)
+        tied_cuts = 0
+
+        def observer(t, states, metrics, keep):
+            nonlocal tied_cuts
+            dropped = np.ones(metrics.size, dtype=bool)
+            dropped[keep] = False
+            tied_cuts += metrics[keep].max() == metrics[dropped].min()
+
+        coarse = (np.round, lambda x: np.round(x / 2), np.sign)
+        for _ in range(100):
+            _, llrs = make_trial(code, 1.5, rng)
+            for f in coarse:
+                x = f(llrs) + 0.0
+                got = decode(x, code, cfg, prune_observer=observer).d_hat
+                assert np.array_equal(naive_scl_reference(x, code, L), got)
+        assert tied_cuts > 0

@@ -27,8 +27,12 @@ class TestCombiners:
     def test_exact_saturates_without_overflow(self):
         out = f_exact(np.array([1e3, -1e3]), np.array([1e3, 1e3]))
         assert np.all(np.isfinite(out))
-        # no-op below the documented |llr| = 30 threshold
-        assert f_exact(29.0, 29.0) == 2 * math.atanh(math.tanh(14.5) ** 2)
+        # f(x, x) = x - ln 2 + log1p(e^-2x) at every magnitude: no saturation, no overflow
+        assert np.array_equal(out, [1e3 - math.log(2), -(1e3 - math.log(2))])
+        for x in (29.0, 40.0, 700.0):
+            assert f_exact(x, x) == pytest.approx(x - math.log(2), rel=1e-15)
+        # the tanh form gave 35.23 here: tanh(20) and tanh(25) round to 1
+        assert f_exact(40.0, 50.0) == pytest.approx(40.0 - math.log1p(math.exp(-10.0)), rel=1e-15)
 
     def test_exact_bounded_by_minsum(self, rng):
         a = rng.normal(0, 3, 2000)

@@ -1,5 +1,6 @@
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -240,3 +241,26 @@ class TestSerialization:
             "2.0,25,2,5,0.08,0.025,11,scl,global,2,1,0o3\n"
         )
         assert csv_text(plan, [replace(point, wall_time=point.wall_time * 7 + 1)]) == text
+
+
+class TestFixedSeedGate:
+    """CSV bytes of two fixed-seed sweeps, committed under tests/data.
+
+    Each file is the standard output of
+    ``pactrellis simulate --n 7 --k 64 --gen 0o133 --snr 1.5,2.5 --min-errors 20
+    --seed 11`` with ``--decoder lva --list 2`` or ``--decoder scl --list 8``.
+    A change that claims to keep decoding bit-identical must reproduce them.
+    """
+
+    @pytest.mark.parametrize("name,list_size", [("lva", 2), ("scl", 8)])
+    def test_csv_bytes_match_committed(self, name, list_size):
+        plan = SimPlan(
+            code=PacCode.rm(7, 64, 0o133),
+            decoder=DecoderConfig.from_name(name, list_size),
+            snr_points=(1.5, 2.5),
+            min_frame_errors=20,
+            max_trials=100_000,
+            master_seed=11,
+        )
+        expected = (Path(__file__).parent / "data" / f"gate_{name}{list_size}.csv").read_bytes()
+        assert csv_text(plan, run_sweep(plan)).encode() == expected
