@@ -25,29 +25,33 @@ class UsageError(ValueError):
 
 
 def _add_code_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--code", metavar="FILE", help="code-spec file (keys: n, k, gen, profile)")
-    p.add_argument("--n", type=int, help="log2 of the block length")
-    p.add_argument("--N", type=int, dest="block_len", help="block length (power of two)")
+    length = p.add_mutually_exclusive_group(required=True)
+    length.add_argument("--code", metavar="FILE", help="code-spec file (keys: n, k, gen, profile)")
+    length.add_argument("--n", type=int, help="log2 of the block length")
+    length.add_argument("--N", type=int, dest="block_len", help="block length (power of two)")
     p.add_argument("--k", type=int, help="number of message bits")
-    p.add_argument("--gen", default="0o133", help="generator polynomial, octal (default 0o133)")
-    p.add_argument("--profile", default="rm", help="'rm' or 'file:<path>' (default rm)")
+    p.add_argument("--gen", help="generator polynomial, octal (default 0o133)")
+    p.add_argument("--profile", help="'rm' or 'file:<path>' (default rm)")
 
 
 def _resolve_code(args) -> PacCode:
-    if args.code:
+    if args.code is not None:
+        given = [f"--{key}" for key in ("k", "gen", "profile") if getattr(args, key) is not None]
+        if given:
+            raise UsageError(f"--code FILE sets the whole code; drop {', '.join(given)}")
         return load_code_spec(args.code)
     if args.block_len is not None:
         N = args.block_len
         if N < 1 or N & (N - 1):
             raise UsageError(f"--N must be a power of two, got {N}")
         n = N.bit_length() - 1
-    elif args.n is not None:
-        n = args.n
     else:
-        raise UsageError("give --n (log2 length), --N (block length), or --code FILE")
+        n = args.n
     if args.k is None:
         raise UsageError("--k is required")
-    return PacCode(n=n, K=args.k, A=parse_profile(args.profile, n, args.k), g=args.gen)
+    gen = "0o133" if args.gen is None else args.gen
+    profile = "rm" if args.profile is None else args.profile
+    return PacCode(n=n, K=args.k, A=parse_profile(profile, n, args.k), g=gen)
 
 
 def _add_decoder_flags(p: argparse.ArgumentParser) -> None:

@@ -163,8 +163,6 @@ class PathSet:
         self._sign = 2.0 * self._ptab - 1.0  # (2u - 1) per register state
         self._phi = _PHI[config.metric_mode]
         self._high = (1 << code.m) >> 1  # register bit that v = 1 sets (0 when m = 0)
-        # children of an information bit: states and metrics
-        self._kids = (np.empty(2 * cap, np.int64), np.empty(2 * cap))
 
     @property
     def size(self) -> int:
@@ -203,20 +201,15 @@ def extend_info(paths: PathSet, t: int, observer=None) -> PathSet:
     children after them, both in parent order), and ``prune`` (given
     ``observer``) selects among them; only then are the survivors' parent
     rows of the bank gathered and their bits committed.
-    The children are written into arrays reused at every information bit, so
-    the observer's arrays are valid only during its call.
     """
     lam = paths.bank.update_llrs(t)
     P = paths.size
     u0 = paths._ptab[paths.states]
     z = paths._sign[paths.states] * lam
-    states, metrics = (a[: 2 * P] for a in paths._kids)
-    # the path arrays may be the first halves of these: write the second halves first
-    np.add(paths.metrics, paths._phi(0.0, -z), out=metrics[P:])
-    np.add(paths.metrics, paths._phi(0.0, z), out=metrics[:P])
-    np.right_shift(paths.states, 1, out=states[:P])
-    np.bitwise_or(states[:P], paths._high, out=states[P:])
-    paths.states, paths.metrics = states, metrics
+    shifted = paths.states >> 1
+    paths.states = np.concatenate((shifted, shifted | paths._high))
+    paths.metrics = np.concatenate((paths.metrics + paths._phi(0.0, z),
+                                    paths.metrics + paths._phi(0.0, -z)))
     keep = prune(paths, observer=observer)
     parent = keep % P
     bit = (keep >= P).astype(np.int8)

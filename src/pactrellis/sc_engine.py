@@ -5,12 +5,12 @@ produces the per-bit decision LLR.  The channel stage is the same for every
 path, so it is stored once, as a read-only vector that the stage n-1 updates
 read by broadcast.  Only one block per other stage is ever live, so those LLRs
 are stored compactly: stage s < n occupies slots [2^s - 1, 2^{s+1} - 1) of an
-(N - 1)-slot row.  Partial sums use the same layout, stage n included, in a
-(2N - 1)-slot row (Tal and Vardy's per-stage arrays): stage s holds only its
-pending left block, the one the next g-update at that stage reads.  Committing
-bit t folds the new sums up through the stages of the set low bits of t and
-parks the result at the first stage whose bit is clear; after bit N-1 the
-stage-n slots hold the polar transform of the committed bits.
+(N - 1)-slot row.  Partial sums use the same (N - 1)-slot layout (Tal and
+Vardy's per-stage arrays): stage s holds only its pending left block, the one
+the next g-update at that stage reads.  Committing bit t folds the new sums up
+through the stages of the set low bits of t and parks the result at the first
+stage whose bit is clear.  No later bit reads the sums of bit N-1, so its
+commit folds nothing.
 
 ``ScBank`` holds one scratch row per decoder path and applies every update to
 all rows at once; it starts with one row, and pruning and path splitting
@@ -45,23 +45,27 @@ def f_minsum(a, b, out=None):
 def f_exact(a, b, out=None):
     """Check-node combine, exact rule 2 atanh(tanh(a/2) tanh(b/2)) (into ``out`` if given).
 
-    Evaluated as sign(a) sign(b) min(|a|, |b|) + log1p(e^-|a+b|) - log1p(e^-|a-b|),
-    accurate to about 1e-16 at any finite LLR; the tanh form saturates once
-    tanh(|x|/2) rounds to 1 (|x| near 38).
+    Evaluated as written where min(|a|, |b|) < 1; elsewhere, where tanh(|x|/2) rounds to 1
+    near |x| = 38, as sign(a) sign(b) min(|a|, |b|) + log1p(e^-|a+b|) - log1p(e^-|a-b|),
+    whose absolute error near 1e-16 would flip the sign of tiny outputs.
     """
+    with np.errstate(divide="ignore"):  # atanh(1) = inf where tanh saturates; not selected
+        tanh_form = 2 * np.arctanh(np.tanh(a / 2) * np.tanh(b / 2))
     fix = np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
-    return np.add(f_minsum(a, b), fix, out=out)
+    near = np.minimum(np.abs(a), np.abs(b)) < 1
+    return np.positive(np.where(near, tanh_form, f_minsum(a, b) + fix), out=out)  # copy into out
 
 
 class ScBank:
     """Batched SC scratch: one row of intermediate LLRs and partial sums per path.
 
     The finite channel LLRs are kept once, in the read-only vector ``channel``;
-    each row holds N - 1 intermediate LLRs (``llr``) and 2N - 1 partial sums
-    (``beta``).  The bank starts with one row.  Updates follow the standard
-    in-order schedule: ``update_llrs(t)`` then ``update_partial_sums(t, u)``
-    for t = 0 .. N-1.  Rows may be gathered with ``take`` (a row may be taken
-    more than once) between the two calls.
+    each row holds N - 1 intermediate LLRs (``llr``) and N - 1 partial sums
+    (``beta``), both in the per-stage layout of the module docstring.  The
+    bank starts with one row.  Updates follow the standard in-order schedule:
+    ``update_llrs(t)`` then ``update_partial_sums(t, u)`` for t = 0 .. N-1.
+    Rows may be gathered with ``take`` (a row may be taken more than once)
+    between the two calls.
     ``capacity`` reserves room for that many rows, so that gathers within it
     allocate nothing (fresh arrays at every information bit cost page faults
     under glibc's default malloc settings).
@@ -84,7 +88,7 @@ class ScBank:
         # two sides per buffer: the live rows are a prefix of one side, and
         # take gathers into the other
         self._side = 0
-        self._llr_buf, self._beta_buf = self._buffers(max(capacity, 1))
+        self._beta_buf, self._llr_buf = self._buffers(max(capacity, 1))
         self.llr, self.beta = self._llr_buf[0, :1], self._beta_buf[0, :1]
         self.llr[:] = 0.0
         self.beta[:] = 0
@@ -142,20 +146,22 @@ class ScBank:
         # bits); each folds into that stage's left block, filling the merged
         # block from its right end, and the merged block parks at stage top
         top = (~t & (t + 1)).bit_length() - 1  # trailing one bits of t
-        beta = self.beta
-        end = (2 << top) - 1
-        beta[:, end - 1] = np.asarray(u_hat, dtype=np.int8)
-        for s in range(top):
-            w = 1 << s
-            np.bitwise_xor(
-                beta[:, w - 1 : 2 * w - 1], beta[:, end - w : end],
-                out=beta[:, end - 2 * w : end - w],
-            )
+        if top < self.n:  # bit N - 1 would fold into stage n, which no later bit reads
+            beta = self.beta
+            end = (2 << top) - 1
+            beta[:, end - 1] = np.asarray(u_hat, dtype=np.int8)
+            for s in range(top):
+                w = 1 << s
+                np.bitwise_xor(
+                    beta[:, w - 1 : 2 * w - 1], beta[:, end - w : end],
+                    out=beta[:, end - 2 * w : end - w],
+                )
         self._pending = False
         self._t = t + 1
 
     def _buffers(self, rows: int):
-        return np.empty((2, rows, self.N - 1)), np.empty((2, rows, 2 * self.N - 1), dtype=np.int8)
+        # beta's first: glibc's default malloc then reuses a freed bank, not trims and refaults it
+        return np.empty((2, rows, self.N - 1), dtype=np.int8), np.empty((2, rows, self.N - 1))
 
     def take(self, rows) -> None:
         """Keep only the given rows, in the given order (repeats allowed)."""
@@ -164,12 +170,8 @@ class ScBank:
         if k and (rows.min() < 0 or rows.max() >= self.n_paths):
             raise IndexError(f"bank rows must lie in [0, {self.n_paths})")
         if self._llr_buf.shape[1] < k:
-            self._llr_buf, self._beta_buf = self._buffers(k)
+            self._beta_buf, self._llr_buf = self._buffers(k)
         side = self._side = self._side ^ 1
         # indices are checked above; mode="clip" lets np.take write into out unbuffered
         self.llr = self.llr.take(rows, axis=0, out=self._llr_buf[side, :k], mode="clip")
         self.beta = self.beta.take(rows, axis=0, out=self._beta_buf[side, :k], mode="clip")
-
-    def stage_n_sums(self) -> np.ndarray:
-        """Stage-n partial sums; equals the polar transform of the committed bits after N commits."""
-        return self.beta[:, self.N - 1 :].copy()

@@ -102,9 +102,15 @@ def conv_1bit_encode(v: int, state, g) -> tuple:
 def _f(a, b, rule):
     if rule == "min-sum":
         return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-    # 2 atanh(tanh(a/2) tanh(b/2)), in a form that does not saturate at large |a|, |b|
-    return (np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-            + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b))))
+    # 2 atanh(tanh(a/2) tanh(b/2)) as written where min(|a|, |b|) < 1; elsewhere a form
+    # that does not saturate at large |a|, |b| (near zero its absolute error of about
+    # 1e-16 would flip the sign of tiny outputs)
+    small = np.minimum(np.abs(a), np.abs(b)) < 1.0
+    with np.errstate(divide="ignore"):
+        direct = 2.0 * np.arctanh(np.tanh(0.5 * a) * np.tanh(0.5 * b))
+    stable = (np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+              + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b))))
+    return np.where(small, direct, stable)
 
 
 def _g(a, b, c):

@@ -265,6 +265,28 @@ class TestCodeSpecFile:
         assert rc == 0
         assert out.strip() == "0" * 8
 
+    @pytest.mark.parametrize("flags", [("--k", "2"), ("--gen", "0o7"), ("--profile", "rm"),
+                                       ("--k", "4", "--gen", "0o3")])
+    def test_code_file_rejects_code_flags(self, flags, tmp_path, capsys):
+        # these used to be ignored silently in favour of the file
+        spec = tmp_path / "code.txt"
+        spec.write_text("n=3\nk=4\ngen=0o3\nprofile=rm\n")
+        rc = cli.main(["encode", "--code", str(spec), *flags, "--message", "0000"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == "" and "--code" in err and flags[0] in err
+
+    @pytest.mark.parametrize("flags", [("--n", "2", "--N", "8"), ("--code", "c.txt", "--n", "5"),
+                                       ("--code", "c.txt", "--N", "8")],
+                             ids=["n-N", "code-n", "code-N"])
+    def test_length_flags_are_exclusive(self, flags, capsys):
+        # --n 2 --N 8 used to encode with N = 8 without a word
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["encode", *flags, "--k", "2", "--message", "00"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == "" and "not allowed with" in err
+
     def test_missing_subcommand_usage_error(self):
         rc, _, _ = run_cli()
         assert rc == 2

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import make_trial
+from conftest import make_trial, stage_n_sums
 
 from pactrellis.decoder import (
     DecoderConfig,
@@ -403,7 +403,7 @@ class TestDecode:
             for bit in v:
                 state = (state >> 1) | (int(bit) << (m - 1))
             assert ps.states[i] == state
-            assert np.array_equal(ps.bank.stage_n_sums()[i], polar_transform(u))
+            assert np.array_equal(stage_n_sums(ps.bank.beta[i], u[-1]), polar_transform(u))
 
     @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"{c.sorting}-L{c.list_size}")
     def test_bank_never_exceeds_budget(self, cfg, rng):
@@ -416,7 +416,7 @@ class TestDecode:
         def hook(t, ps):
             live[:] = [ps]
             assert ps.bank.llr.shape == (ps.size, code.N - 1)
-            assert ps.bank.beta.shape == (ps.size, 2 * code.N - 1)
+            assert ps.bank.beta.shape == (ps.size, code.N - 1)
             rows.append(ps.bank.llr.shape[0])
 
         def observer(t, states, metrics, keep):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from conftest import make_trial
+from conftest import exact_combine_reference, log_uniform_pairs, make_trial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_oracle import (
+    _f,
     chain_rule_neglogp,
     forced_path_metrics,
     forced_transcript,
@@ -129,6 +130,14 @@ class TestProbabilityDomain:
         assert np.allclose(mu, chain_rule_neglogp([a, b], [u0, u1]), rtol=1e-12, atol=1e-12)
         ref = forced_transcript([a, b], [u0, u1], rule="exact")
         assert np.allclose([lam0, lam1], ref, rtol=1e-12, atol=1e-12)
+
+    def test_exact_combine_keeps_sign_and_precision_at_small_llrs(self, rng):
+        # the oracle states the exact rule on its own, so it gets its own check
+        a, b = log_uniform_pairs(rng)
+        expect = np.array([exact_combine_reference(x, y) for x, y in zip(a, b)])
+        got = _f(a, b, "exact")
+        assert np.array_equal(np.sign(got), np.sign(expect))
+        assert np.all(np.abs(got - expect) <= 1e-15 * np.abs(expect))
 
     def test_size_guard(self):
         with pytest.raises(ValueError):

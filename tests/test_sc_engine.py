@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import exact_combine_reference, log_uniform_pairs, stage_n_sums
 
 from pactrellis.pac_core import polar_transform
 from pactrellis.sc_engine import (
@@ -33,6 +34,16 @@ class TestCombiners:
             assert f_exact(x, x) == pytest.approx(x - math.log(2), rel=1e-15)
         # the tanh form gave 35.23 here: tanh(20) and tanh(25) round to 1
         assert f_exact(40.0, 50.0) == pytest.approx(40.0 - math.log1p(math.exp(-10.0)), rel=1e-15)
+
+    def test_exact_keeps_sign_and_precision_at_small_llrs(self, rng):
+        # the log1p form alone gave f(1e-11, 1e-11) = -8.3e-19 and the wrong sign on
+        # about one pair in eight of these
+        assert f_exact(1e-11, 1e-11) == pytest.approx(5e-23, rel=1e-15)
+        a, b = log_uniform_pairs(rng)
+        expect = np.array([exact_combine_reference(x, y) for x, y in zip(a, b)])
+        got = f_exact(a, b)
+        assert np.array_equal(np.sign(got), np.sign(expect))
+        assert np.all(np.abs(got - expect) <= 1e-15 * np.abs(expect))
 
     def test_exact_bounded_by_minsum(self, rng):
         a = rng.normal(0, 3, 2000)
@@ -107,12 +118,17 @@ class TestScratchSmall:
 class TestPartialSumDuality:
     @pytest.mark.parametrize("N", [2, 4, 8, 64])
     def test_stage_n_equals_polar_transform(self, N, rng):
+        # no stage n is stored: after the last commit each stage s < n holds the
+        # left block u[N - 2^{s+1} : N - 2^s], and with u[N-1] they fold to polar(u)
         u = rng.integers(0, 2, N, dtype=np.int8)
         sc = ScBank(rng.normal(0, 1, N))
         for t in range(N):
             sc.update_llrs(t)
             sc.update_partial_sums(t, int(u[t]))
-        assert np.array_equal(sc.stage_n_sums()[0], polar_transform(u))
+        for s in range(sc.n):
+            w = 1 << s
+            assert np.array_equal(sc.beta[0, w - 1 : 2 * w - 1], polar_transform(u[N - 2 * w : N - w]))
+        assert np.array_equal(stage_n_sums(sc.beta[0], u[-1]), polar_transform(u))
 
     @pytest.mark.parametrize("N", [2, 8, 64])
     def test_g_update_reads_left_block_sums(self, N, rng):
@@ -120,7 +136,7 @@ class TestPartialSumDuality:
         # the partial sums of the left block u[t - 2^top : t] at that stage
         u = rng.integers(0, 2, N, dtype=np.int8)
         sc = ScBank(rng.normal(0, 1, N))
-        assert sc.beta.shape == (1, 2 * N - 1)
+        assert sc.beta.shape == (1, N - 1)
         for t in range(N):
             if t:
                 w = t & -t
@@ -140,7 +156,9 @@ class TestPartialSumDuality:
         for t, u in enumerate([1, 0, 0, 0]):
             sc.update_llrs(t)
             sc.update_partial_sums(t, u)
-        assert np.array_equal(sc.stage_n_sums()[0], [1, 0, 0, 0])
+        # stage 0 holds u2, stage 1 polar(u0, u1) = (1, 0)
+        assert np.array_equal(sc.beta[0], [0, 1, 0])
+        assert np.array_equal(stage_n_sums(sc.beta[0], 0), [1, 0, 0, 0])
 
 
 class TestCallOrderContract:
