@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -250,7 +249,14 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, BrokenProcessPool) as exc:
+    except (OSError, RuntimeError) as exc:
+        if isinstance(exc, RuntimeError):
+            # a dead pool raises BrokenProcessPool; its base is imported only
+            # here so that a serial run never loads the pool modules
+            from concurrent.futures import BrokenExecutor
+
+            if not isinstance(exc, BrokenExecutor):
+                raise
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

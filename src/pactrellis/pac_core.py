@@ -128,6 +128,8 @@ def rm_rate_profile(n: int, K: int) -> tuple:
     at the boundary weight, ties go to the larger index. The resulting sets
     are nested: the profile for K is a subset of the profile for K + 1.
     """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     N = 1 << n
     if not 0 < K <= N:
         raise ValueError(f"K must satisfy 0 < K <= {N}, got {K}")

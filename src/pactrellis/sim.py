@@ -15,15 +15,16 @@ given the errors collected when it was submitted; that is never before the
 true stopping trial, so the reported prefix is the same whatever the worker
 count and results are byte-identical for any ``workers`` value.  A serial
 run decodes exactly that prefix.
+
+``workers=1`` (the default) runs every chunk in the calling process and loads
+no process-pool modules; ``workers`` > 1 imports ``concurrent.futures`` and
+``multiprocessing`` on first use.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import islice
 
@@ -139,11 +140,14 @@ def _chunk_grid(max_trials: int):
     return [(s, min(TRIALS_PER_CHUNK, max_trials - s)) for s in starts]
 
 
-def _run_inline(fn, *args) -> Future:
-    """Call fn now and hand its result back as a completed future."""
-    fut = Future()
-    fut.set_result(fn(*args))
-    return fut
+class _RunInline:
+    """Call fn now, in this process; the chunk loop reads it back like a finished future."""
+
+    def __init__(self, fn, *args):
+        self._value = fn(*args)
+
+    def result(self):
+        return self._value
 
 
 def run_point(plan: SimPlan, snr_index: int, workers: int = 1, executor=None) -> FerPoint:
@@ -162,8 +166,12 @@ def run_point(plan: SimPlan, snr_index: int, workers: int = 1, executor=None) ->
         raise ValueError(f"workers must be at least 1, got {workers}")
     t0 = time.perf_counter()
     own = executor is None and workers > 1
-    pool = ProcessPoolExecutor(max_workers=workers) if own else executor
-    submit = _run_inline if pool is None else pool.submit
+    pool = executor
+    if own:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
+    submit = _RunInline if pool is None else pool.submit
     window = 1 if pool is None else workers + 1
     target = plan.min_frame_errors
     chunks = iter(_chunk_grid(plan.max_trials))
@@ -209,8 +217,13 @@ def run_point(plan: SimPlan, snr_index: int, workers: int = 1, executor=None) ->
 
 def run_sweep(plan: SimPlan, workers: int = 1):
     """Simulate every SNR point of the plan in order, sharing one pool when parallel."""
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
-        return [run_point(plan, s, workers, pool) for s in range(len(plan.snr_points))]
+    points = range(len(plan.snr_points))
+    if workers <= 1:
+        return [run_point(plan, s, workers) for s in points]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [run_point(plan, s, workers, pool) for s in points]
 
 
 def confidence_interval(point: FerPoint, level: float = 0.95):
@@ -262,6 +275,8 @@ def write_csv(path, plan: SimPlan, points) -> None:
 
 
 def json_text(plan: SimPlan, points) -> str:
+    import json
+
     doc = {
         "plan": {
             "n": plan.code.n,

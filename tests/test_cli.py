@@ -8,6 +8,7 @@ from conftest import subprocess_env
 
 from pactrellis import cli, sim
 from pactrellis.pac_core import PacCode, pac_encode
+from pactrellis.sc_engine import ContractViolationError
 
 
 def run_cli(*args, cwd=None):
@@ -169,6 +170,29 @@ class TestSimulate:
         assert rc == 3
         assert "worker process died" in capsys.readouterr().err
 
+    def test_other_runtime_error_propagates(self, monkeypatch):
+        def violated(plan, workers=1):
+            raise ContractViolationError("no surviving paths to select from")
+
+        monkeypatch.setattr(sim, "run_sweep", violated)
+        with pytest.raises(ContractViolationError, match="no surviving paths"):
+            cli.main([*self.BASE, "--decoder", "sc"])
+
+    def test_serial_run_loads_no_pool_modules(self, tmp_path):
+        # no --json: its confidence interval imports scipy, which loads concurrent.futures
+        script = f"""
+import sys
+import pactrellis, pactrellis.cli
+rc = pactrellis.cli.main([*{self.BASE!r}, "--decoder", "scl", "--list", "2",
+                          "--out", {str(tmp_path / "r.csv")!r}])
+assert rc == 0, rc
+print(" ".join(m for m in sys.modules if m.startswith(("multiprocessing", "concurrent"))))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
+
     def test_stdout_when_no_out(self):
         rc, out, _ = run_cli(*self.BASE, "--decoder", "sc")
         assert rc == 0
@@ -229,6 +253,15 @@ class TestLatency:
 
 
 class TestProfile:
+    @pytest.mark.parametrize("command", ["profile", "encode", "decode", "simulate"])
+    def test_negative_n_is_usage_error(self, command, capsys):
+        # used to exit 2 with "negative shift count"
+        extra = {"profile": [], "encode": ["--message", "1"], "decode": ["--llr", "1"],
+                 "simulate": ["--snr", "2.0"]}[command]
+        rc = cli.main([command, "--n", "-1", "--k", "1", *extra])
+        assert rc == 2
+        assert "n must be nonnegative" in capsys.readouterr().err
+
     def test_small_profile(self):
         rc, out, _ = run_cli("profile", "--n", "3", "--k", "4")
         assert rc == 0

@@ -95,6 +95,9 @@ class TestRmRateProfile:
             rm_rate_profile(3, 0)
         with pytest.raises(ValueError):
             rm_rate_profile(3, 9)
+        # n < 0 used to fail with "negative shift count"
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            rm_rate_profile(-1, 1)
 
 
 class TestRateProfileInsert:
