@@ -1,10 +1,11 @@
 """Unified trellis decoder: SC, SC-list, Viterbi and list-Viterbi from one path engine.
 
-Every decoder in the family runs the same loop: at a frozen index each path
-extends with v = 0; at an information index each path splits into a v = 0 and
-a v = 1 child; when the survivor budget overflows, paths are pruned either
-globally (list decoding) or per shift-register state (list Viterbi).  The
-special cases fall out of the configuration:
+Every decoder in the family runs the same loop over a per-code schedule of
+nodes: over a Rate-0 node (frozen bits only) each path extends with v = 0; over
+a REP node (frozen bits, then one information bit) each path splits into a
+v = 0 and a v = 1 child; when the survivor budget overflows, paths are pruned
+either globally (list decoding) or per shift-register state (list Viterbi).
+The special cases fall out of the configuration:
 
     sorting=global, list_size=1   -> successive cancellation
     sorting=global, list_size=L   -> SC list decoding
@@ -26,18 +27,26 @@ and one grouped selection serves both sorting modes (see ``prune``).
 
 Both metric modes charge a bit by one rule: deciding u against decision LLR
 lam costs phi(0, z), z = (2u - 1) lam, with phi = max (approximate) or
-log(e^x + e^y) (exact).  z is a +-1 entry, looked up by register state, times
-lam, and the two children of an information bit pay phi(0, z) and phi(0, -z).
+log(e^x + e^y) (exact).  A node of 2^s bits is charged the same rule summed
+over its stage-s LLRs alpha and partial sums X = polar(u): sum_j phi(0, z_j),
+z_j = (2 X_j - 1) alpha_j.  Its frozen bits fix u from the register state on
+entry alone, so z is a row of +-1 entries, looked up by that state, times
+alpha, and the two children of a REP node pay the sums of phi(0, z) and
+phi(0, -z) (its information bit flips every X_j).  The node sum equals the
+bit-by-bit sum, up to rounding, only when the combining rule matches the
+metric (min-sum with approximate, exact with exact); other pairs decode one
+bit per step, where both sums are one term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
+from itertools import accumulate
 
 import numpy as np
 
-from .pac_core import PacCode, conv_transform, parity_table, rate_profile_insert
+from .pac_core import PacCode, conv_transform, parity_table, polar_transform, rate_profile_insert
 from .sc_engine import COMBINING_RULES, ContractViolationError, ScBank
 
 __all__ = [
@@ -47,6 +56,8 @@ __all__ = [
     "hard_decision",
     "branch_metric",
     "decode",
+    "node_schedule",
+    "node_tables",
 ]
 
 SORTING_MODES = ("local", "global")
@@ -120,6 +131,67 @@ class DecoderConfig:
         """Total survivor budget for a code with memory m."""
         return self.list_size if self.sorting == "global" else self.list_size << m
 
+    @property
+    def node_steps(self) -> bool:
+        """Whether a step may span a node of several bits: only where the rules match."""
+        return (self.combining_rule == "exact") == (self.metric_mode == "exact")
+
+
+@lru_cache(maxsize=64)
+def node_schedule(code: PacCode, nodes: bool = True) -> tuple:
+    """The decode steps of ``code``, in bit order: (stage s, information?) each.
+
+    [0, N) is split recursively into aligned blocks of 2^s bits until each is a
+    Rate-0 node (every bit frozen) or a REP node (only its last bit carries
+    information); a single bit is either.  Each step starts where the one
+    before it ended.  ``nodes=False`` keeps every step one bit wide.
+    """
+    info = [False] * code.N
+    for a in code.A:
+        info[a] = True
+    count = [0, *accumulate(info)]  # information bits before each index
+    steps = []
+    # one tuple per kind of step, shared: a cached schedule costs a pointer per step
+    kinds = {(s, i): (s, i) for s in range(code.n + 1) for i in (False, True)}
+
+    def split(t, s):
+        last = t + (1 << s) - 1
+        k = count[last + 1] - count[t]
+        if s == 0 or nodes and k == info[last]:  # no information bit, or only the last
+            steps.append(kinds[s, info[last]])
+        else:
+            split(t, s - 1)
+            split(t + (1 << (s - 1)), s - 1)
+
+    split(0, code.n)
+    return tuple(steps)
+
+
+@lru_cache(maxsize=64)
+def node_tables(g: tuple, n: int) -> tuple:
+    """Per stage s <= n: (X, 2X - 1, min(2^s, m)) for a node of 2^s bits with v = 0 throughout.
+
+    Bit i of such a node has u_i = tab[state >> i] (zeros shift in), so
+    X = polar(u) is a row per entry state.  u_i = 0 for i >= m, hence
+    X_j = 0 for j >= m: each table keeps only its first min(2^s, m) columns,
+    2^m x min(2^s, m) entries, and stages with 2^s >= m share one.  A bit's
+    X is its u, one value per state.  The last entry is the register shift
+    over the node.
+    """
+    tab = parity_table(g)
+    m = len(g) - 1
+    states = np.arange(1 << m)[:, None]
+    tables = [(tab, 2.0 * tab - 1.0, min(1, m))]
+    for s in range(1, n + 1):
+        if s > 1 and 1 << (s - 1) >= m:  # as wide as the register already: the same table
+            tables.append(tables[-1])
+            continue
+        x = np.ascontiguousarray(polar_transform(tab[states >> np.arange(1 << s)])[:, :m])
+        tables.append((x, 2.0 * x - 1.0, min(1 << s, m)))
+    for x, sign, _ in tables:  # shared by every decode of the code
+        x.flags.writeable = sign.flags.writeable = False
+    return tuple(tables)
+
 
 def hard_decision(llr):
     """Hard decision on a decision LLR: 0 for positive, 1 otherwise (zero maps to 1)."""
@@ -144,6 +216,7 @@ class PathSet:
 
     ``parents`` and ``bits`` hold, per information bit, each survivor's
     parent row and decided bit; ``traceback`` reads a message back from them.
+    ``steps`` is the node schedule that ``decode`` walks for this code and config.
     """
 
     def __init__(self, channel_llrs, code: PacCode, config: DecoderConfig):
@@ -159,8 +232,11 @@ class PathSet:
         self.metrics = np.zeros(1, dtype=float)
         self.parents = []
         self.bits = []
-        self._ptab = parity_table(code.g)
-        self._sign = 2.0 * self._ptab - 1.0  # (2u - 1) per register state
+        # after the bank: made by the first decode, these cached tables stay above its
+        # bank on the heap, so glibc's default malloc does not trim and re-fault the
+        # bank between decodes
+        self.steps = node_schedule(code, config.node_steps)
+        self._tables = node_tables(code.g, code.n)
         self._phi = _PHI[config.metric_mode]
         self._high = (1 << code.m) >> 1  # register bit that v = 1 sets (0 when m = 0)
 
@@ -183,38 +259,67 @@ class PathSet:
         return d
 
 
-def extend_frozen(paths: PathSet, t: int) -> PathSet:
-    """Extend every path with v_t = 0: encode, charge the branch penalty, commit."""
-    lam = paths.bank.update_llrs(t)
-    paths.metrics += paths._phi(0.0, paths._sign[paths.states] * lam)
-    u = paths._ptab[paths.states]
-    paths.states >>= 1
-    paths.bank.update_partial_sums(t, u)
+def _node_llrs(paths: PathSet, t: int, stage: int):
+    """z = (2X - 1) alpha over the node of 2^stage bits at t, and X, both (paths, 2^stage).
+
+    alpha is the node's LLR block and X the partial sums of its v = 0
+    extension, looked up by each path's register state on entry.  A bit
+    (stage 0) gives one value per path: its z and its u.
+    """
+    alpha = paths.bank.update_llrs(t, stage)
+    x, sign, _ = paths._tables[stage]
+    states = paths.states
+    head = x.shape[-1]
+    if not stage or head == alpha.shape[1]:
+        return sign[states] * alpha, x[states]
+    # past the register's m bits the state is 0, so X_j = 0 and z_j = -alpha_j
+    z = np.negative(alpha)
+    z[:, :head] = sign[states] * alpha[:, :head]
+    xs = np.zeros(alpha.shape, dtype=np.int8)
+    xs[:, :head] = x[states]
+    return z, xs
+
+
+def _node_sum(penalties):
+    """Each path's node sum of per-LLR penalties; a bit's one penalty is its own sum."""
+    return penalties if penalties.ndim == 1 else penalties.sum(axis=1)
+
+
+def extend_frozen(paths: PathSet, t: int, stage: int = 0) -> PathSet:
+    """Rate-0 step: extend every path with v = 0 over the 2^stage bits from t.
+
+    Charges each path its node sum, shifts its register state by the node
+    width and commits the node's partial sums.
+    """
+    z, x = _node_llrs(paths, t, stage)
+    paths.metrics += _node_sum(paths._phi(0.0, z))
+    paths.states >>= paths._tables[stage][2]
+    paths.bank.update_partial_sums(t, x)
     return paths
 
 
-def extend_info(paths: PathSet, t: int, observer=None) -> PathSet:
-    """Split every path into a v_t = 0 and a v_t = 1 child and keep the survivors.
+def extend_info(paths: PathSet, t: int, stage: int = 0, observer=None) -> PathSet:
+    """REP step: over the 2^stage bits from t, frozen but the last, split every path in two.
 
-    Both children encode from the parent's pre-extension register state.
-    The path arrays are replaced by the children's (v = 0 children first, v = 1
+    The children take v = 0 and v = 1 at the node's information bit, its
+    last; both extend from the parent's register state on entry, and the
+    v = 1 child's partial sums are the v = 0 child's, flipped.  The path
+    arrays are replaced by the children's (v = 0 children first, v = 1
     children after them, both in parent order), and ``prune`` (given
     ``observer``) selects among them; only then are the survivors' parent
-    rows of the bank gathered and their bits committed.
+    rows of the bank gathered and their partial sums committed.
     """
-    lam = paths.bank.update_llrs(t)
     P = paths.size
-    u0 = paths._ptab[paths.states]
-    z = paths._sign[paths.states] * lam
-    shifted = paths.states >> 1
+    z, x = _node_llrs(paths, t, stage)
+    shifted = paths.states >> paths._tables[stage][2]
     paths.states = np.concatenate((shifted, shifted | paths._high))
-    paths.metrics = np.concatenate((paths.metrics + paths._phi(0.0, z),
-                                    paths.metrics + paths._phi(0.0, -z)))
+    paths.metrics = np.concatenate((paths.metrics, paths.metrics)) + _node_sum(
+        paths._phi(0.0, np.concatenate((z, -z))))
     keep = prune(paths, observer=observer)
     parent = keep % P
     bit = (keep >= P).astype(np.int8)
     paths.bank.take(parent)
-    paths.bank.update_partial_sums(t, u0[parent] ^ bit)
+    paths.bank.update_partial_sums(t, x[parent] ^ (bit if x.ndim == 1 else bit[:, None]))
     paths.parents.append(parent)
     paths.bits.append(bit)
     return paths
@@ -269,24 +374,31 @@ def decode(channel_llrs, code: PacCode, config: DecoderConfig,
            step_hook=None, prune_observer=None) -> DecodeResult:
     """Run the configured trellis decoder over one block of channel LLRs.
 
-    Decoding starts from a single zero-state, zero-metric path and walks
-    t = 0 .. N-1, extending at every index and selecting survivors at
-    information indices.  Returns the winner's message bits (read back by
-    traceback), its v and u = conv(v, g), and its final metric.  The winner
-    has the smallest metric, a tie going to the earlier row, the older path.
+    Decoding starts from a single zero-state, zero-metric path and walks the
+    code's node schedule (``node_schedule``) over t = 0 .. N-1, one step per
+    node: a Rate-0 node extends every path, and a REP node splits every path
+    at its information bit and selects survivors.  A matched pair of rules
+    (see ``DecoderConfig.node_steps``) takes K steps when every frozen bit
+    lies in a REP node, as on the Reed-Muller profile; other pairs take N.
+    Returns the winner's message bits (read back by traceback), its v and
+    u = conv(v, g), and its final metric.  The winner has the smallest
+    metric, a tie going to the earlier row, the older path.
 
-    ``step_hook(t, paths)`` is called after each bit; ``prune_observer``
-    receives (t, states, metrics, kept_rows) at every pruning event.
+    ``step_hook(t, paths)`` is called after each step; ``prune_observer``
+    receives (t, states, metrics, kept_rows) at every pruning event.  Both
+    see t as the last bit of the step's node.
     """
     paths = PathSet(channel_llrs, code, config)
-    info = set(code.A)
-    for t in range(code.N):
-        if t in info:
-            extend_info(paths, t, partial(prune_observer, t) if prune_observer else None)
+    t = 0
+    for stage, info in paths.steps:
+        last = t + (1 << stage) - 1
+        if info:
+            extend_info(paths, t, stage, partial(prune_observer, last) if prune_observer else None)
         else:
-            extend_frozen(paths, t)
+            extend_frozen(paths, t, stage)
         if step_hook is not None:
-            step_hook(t, paths)
+            step_hook(last, paths)
+        t = last + 1
     order = paths.ranking()
     win = int(order[0])
     d_hat = paths.traceback(win)

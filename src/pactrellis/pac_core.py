@@ -178,16 +178,19 @@ def conv_inverse(u, g) -> np.ndarray:
 
 
 def polar_transform(u) -> np.ndarray:
-    """Apply the n-th Kronecker power of [[1,0],[1,1]] over GF(2) via the butterfly."""
-    x = np.asarray(u, dtype=np.int8).copy()
-    N = x.size
+    """Apply the n-th Kronecker power of [[1,0],[1,1]] over GF(2) via the butterfly.
+
+    An array of several axes is transformed along its last.
+    """
+    x = np.array(u, dtype=np.int8, ndmin=1)
+    N = x.shape[-1]
     if N < 1 or N & (N - 1):
         raise ValueError(f"length must be a power of two, got {N}")
     h = 1
     while h < N:
         # every block of 2h: left half ^= right half
-        blocks = x.reshape(-1, 2, h)
-        blocks[:, 0] ^= blocks[:, 1]
+        blocks = x.reshape(*x.shape[:-1], -1, 2, h)
+        blocks[..., 0, :] ^= blocks[..., 1, :]
         h *= 2
     return x
 

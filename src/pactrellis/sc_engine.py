@@ -12,6 +12,12 @@ through the stages of the set low bits of t and parks the result at the first
 stage whose bit is clear.  No later bit reads the sums of bit N-1, so its
 commit folds nothing.
 
+The unit of both updates is a node: an aligned block of 2^s bits, decided in
+one step at stage s (a bit is the node at stage 0).  Its LLR update stops the
+f-recursion at stage s and yields the node's block of 2^s LLRs; its commit
+writes the node's 2^s partial sums as that stage's block and folds upward from
+there as a bit's commit does.
+
 ``ScBank`` holds one scratch row per decoder path and applies every update to
 all rows at once; it starts with one row, and pruning and path splitting
 gather rows with ``take``.
@@ -63,9 +69,10 @@ class ScBank:
     each row holds N - 1 intermediate LLRs (``llr``) and N - 1 partial sums
     (``beta``), both in the per-stage layout of the module docstring.  The
     bank starts with one row.  Updates follow the standard in-order schedule:
-    ``update_llrs(t)`` then ``update_partial_sums(t, u)`` for t = 0 .. N-1.
-    Rows may be gathered with ``take`` (a row may be taken more than once)
-    between the two calls.
+    ``update_llrs(t, s)`` then ``update_partial_sums(t, x)`` for nodes that
+    tile 0 .. N-1 in order, t advancing by each node's width 2^s (s = 0, the
+    default, for a bit).  Rows may be gathered with ``take`` (a row may be
+    taken more than once) between the two calls.
     ``capacity`` reserves room for that many rows, so that gathers within it
     allocate nothing (fresh arrays at every information bit cost page faults
     under glibc's default malloc settings).
@@ -92,20 +99,25 @@ class ScBank:
         self.llr, self.beta = self._llr_buf[0, :1], self._beta_buf[0, :1]
         self.llr[:] = 0.0
         self.beta[:] = 0
-        # _t: next undecided bit index; _pending: update_llrs done, commit outstanding
+        # _t: next undecided bit index; _pending: update_llrs done, commit outstanding,
+        # for the node of 2^_stage bits at _t
         self._t = 0
         self._pending = False
+        self._stage = 0
 
     @property
     def n_paths(self) -> int:
         return self.llr.shape[0]
 
-    def update_llrs(self, t: int) -> np.ndarray:
-        """Recompute the factor-graph nodes needed for bit t; return decision LLRs (one per path).
+    def update_llrs(self, t: int, stage: int = 0) -> np.ndarray:
+        """Recompute the factor-graph nodes down to the node of 2^stage bits at t; return its LLRs.
 
-        The returned vector is a view, valid until the next ``update_llrs``
-        or ``take``.
+        A node of stage s >= 1 returns its LLR block, (paths, 2^s); a bit
+        (stage 0) returns its decision LLRs, one per path.  The node must
+        start at a multiple of its width.  The result is a view, valid until
+        the next ``update_llrs`` or ``take``.
         """
+        width = 1 << stage
         if self._pending or t != self._t or t >= self.N:
             expected = (f"next expected bit is {self._t}" if self._t < self.N
                         else f"all {self.N} bits are committed")
@@ -113,6 +125,9 @@ class ScBank:
                 f"update_llrs({t}) out of order: {expected}"
                 + (" (pending commit)" if self._pending else "")
             )
+        if t % width or t + width > self.N:
+            raise ContractViolationError(
+                f"a node of {width} bits cannot start at bit {t} of {self.N}")
         # src is the block that stage s reads: the shared channel vector for s = n - 1
         llr = self.llr
         if t == 0:
@@ -125,39 +140,53 @@ class ScBank:
             # b + (1 - 2 beta) a, the sign read from a table by the committed partial sum
             np.add(src[..., w:], _SIGN[self.beta[:, w - 1 : 2 * w - 1]] * src[..., :w], out=dst)
             src = dst
-        for s in range(top - 1, -1, -1):
+        for s in range(top - 1, stage - 1, -1):
             w = 1 << s
             dst = llr[:, w - 1 : 2 * w - 1]
             self._f(src[..., :w], src[..., w:], out=dst)
             src = dst
         self._pending = True
-        # a one-bit code has no intermediate stage: its decision LLR is the channel LLR
-        return llr[:, 0] if self.n else np.broadcast_to(self.channel, (self.n_paths,))
+        self._stage = stage
+        # a node of the whole code has no intermediate stage: its LLRs are the channel's
+        block = (llr[:, width - 1 : 2 * width - 1] if stage < self.n
+                 else np.broadcast_to(self.channel, (self.n_paths, width)))
+        return block if stage else block[:, 0]
 
-    def update_partial_sums(self, t: int, u_hat) -> None:
-        """Commit the decided bits for index t (one per path) into the partial-sum tree."""
+    def update_partial_sums(self, t: int, x) -> None:
+        """Commit the partial sums of the node at t, the one ``update_llrs`` last computed.
+
+        ``x`` holds polar(u) over the node's 2^s bits, one row per path, as a
+        (paths, 2^s) block; for a bit it is the decided u, one per path or
+        one for all.
+        """
         if not self._pending or t != self._t:
             if t < self._t:
                 raise ContractViolationError(f"bit {t} already committed")
             raise ContractViolationError(
                 f"update_partial_sums({t}) requires update_llrs({self._t}) first"
             )
-        # bit t closes a right block at each stage below top (its trailing one
-        # bits); each folds into that stage's left block, filling the merged
-        # block from its right end, and the merged block parks at stage top
-        top = (~t & (t + 1)).bit_length() - 1  # trailing one bits of t
+        # the node's last bit closes a right block at each stage from the
+        # node's up to top (its trailing one bits); each folds into that
+        # stage's left block, filling the merged block from its right end, and
+        # the merged block parks at stage top
+        width = 1 << self._stage
+        last = t + width - 1
+        top = (~last & (last + 1)).bit_length() - 1  # trailing one bits of the last bit
         if top < self.n:  # bit N - 1 would fold into stage n, which no later bit reads
             beta = self.beta
             end = (2 << top) - 1
-            beta[:, end - 1] = np.asarray(u_hat, dtype=np.int8)
-            for s in range(top):
+            if self._stage:
+                beta[:, end - width : end] = x
+            else:
+                beta[:, end - 1] = x
+            for s in range(self._stage, top):
                 w = 1 << s
                 np.bitwise_xor(
                     beta[:, w - 1 : 2 * w - 1], beta[:, end - w : end],
                     out=beta[:, end - 2 * w : end - w],
                 )
         self._pending = False
-        self._t = t + 1
+        self._t = t + width
 
     def _buffers(self, rows: int):
         # beta's first: glibc's default malloc then reuses a freed bank, not trims and refaults it

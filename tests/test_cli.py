@@ -193,6 +193,22 @@ print(" ".join(m for m in sys.modules if m.startswith(("multiprocessing", "concu
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
 
+    def test_json_run_loads_no_scipy_stats(self, tmp_path):
+        # the envelope's Clopper-Pearson bounds come from scipy.special alone
+        script = f"""
+import sys
+import pactrellis.cli
+rc = pactrellis.cli.main([*{self.BASE!r}, "--decoder", "sc", "--out", {str(tmp_path / "r.csv")!r},
+                          "--json", {str(tmp_path / "r.json")!r}])
+assert rc == 0, rc
+print(" ".join(m for m in sys.modules if m.startswith("scipy.stats")))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
+        assert "fer_high" in (tmp_path / "r.json").read_text()
+
     def test_stdout_when_no_out(self):
         rc, out, _ = run_cli(*self.BASE, "--decoder", "sc")
         assert rc == 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import make_trial, stage_n_sums
+from reference_oracle import naive_scl_reference
 
 from pactrellis.decoder import (
     DecoderConfig,
@@ -13,6 +14,8 @@ from pactrellis.decoder import (
     extend_frozen,
     extend_info,
     hard_decision,
+    node_schedule,
+    node_tables,
     prune,
 )
 from pactrellis.pac_core import (
@@ -40,10 +43,12 @@ def build_pathset(code, metrics, states, config=DecoderConfig()):
 
 
 def final_pathset(llrs, code, cfg):
-    """Decode and return the survivor set as it stands after the last bit."""
+    """Decode and return the survivor set as it stands after the last step."""
     seen = []
-    decode(llrs, code, cfg, step_hook=lambda t, ps: seen.append(ps) if t == code.N - 1 else None)
-    return seen[0]
+    decode(llrs, code, cfg, step_hook=lambda t, ps: seen.append((t, ps)))
+    last, ps = seen[-1]
+    assert last == code.N - 1  # a step reports the last bit of its node
+    return ps
 
 
 ALL_CONFIGS = [
@@ -306,29 +311,46 @@ class TestDecode:
         assert not res.v_hat[frozen].any()
 
     def test_budget_bounds_and_trellis_irregularity(self, rng):
-        code = PacCode.rm(6, 32, 0o7)  # m = 2
-        cfg = DecoderConfig("local", 2)
-        cap = cfg.budget(code.m)
-        d, llrs = make_trial(code, 2.0, rng)
-        frozen = np.ones(code.N, dtype=bool)
-        frozen[list(code.A)] = False
-        counts, run = [], 0
+        # the hook sees each step's last bit: a Rate-0 step keeps the path count, and
+        # once m frozen bits have passed, every path is in state 0, or, right after a
+        # REP node, in state 0 or high, its v = 0 and v = 1 children's.  Every frozen
+        # bit of the RM profile lies in a REP node; a random one has Rate-0 nodes too.
+        rm = PacCode.rm(6, 32, 0o7)  # m = 2
+        for code, kinds in ((rm, {"rep"}),
+                            (PacCode(6, 32, rng.choice(64, 32, replace=False), rm.g),
+                             {"rate-0", "rep"})):
+            cfg = DecoderConfig("local", 2)
+            cap = cfg.budget(code.m)
+            high = 1 << (code.m - 1)
+            d, llrs = make_trial(code, 2.0, rng)
+            frozen = np.ones(code.N, dtype=bool)
+            frozen[list(code.A)] = False
+            counts, lasts, run, checked = [], [-1], 0, set()
 
-        def hook(t, ps):
-            nonlocal run
-            counts.append(ps.size)
-            if frozen[t]:
-                run += 1
-                if len(counts) >= 2:
-                    assert counts[-1] == counts[-2], f"path count changed at frozen t={t}"
-                if run >= code.m:
-                    assert not ps.states.any(), f"nonzero state after {run} frozen bits at t={t}"
-            else:
-                run = 0
-                assert ps.size <= cap
+            def hook(t, ps):
+                nonlocal run
+                node = frozen[lasts[-1] + 1 : t + 1]
+                lasts.append(t)
+                counts.append(ps.size)
+                if frozen[t]:
+                    run += node.size
+                    if len(counts) >= 2:
+                        assert counts[-1] == counts[-2], f"path count changed at t={t}"
+                    if run >= code.m:
+                        assert not ps.states.any(), f"nonzero state after {run} frozen at t={t}"
+                        checked.add("rate-0")
+                else:
+                    run += node.size - 1  # the frozen bits before the node's information bit
+                    if run >= code.m:
+                        assert set(ps.states) == {0, high}, f"states after {run} frozen at t={t}"
+                        checked.add("rep")
+                    run = 0
+                    assert ps.size <= cap
 
-        decode(llrs, code, cfg, step_hook=hook)
-        assert counts[0] == 1
+            decode(llrs, code, cfg, step_hook=hook)
+            # one starting path, split if the first node is a REP node
+            assert counts[0] == (1 if frozen[lasts[1]] else 2)
+            assert checked == kinds
 
     def test_acs_invariant_local_l1(self, rng):
         # every prune event under local L=1 keeps exactly the per-state minimum
@@ -354,7 +376,7 @@ class TestDecode:
     def test_local_rows_stay_state_major(self, gen, ell, rng):
         # rows stay sorted by register state, and every occupied state holds the same
         # number of paths: in the children at every prune event, in the survivors and
-        # after every bit.  RM PAC(128,64) puts 7 frozen bits before bits 23, 39 and
+        # after every step.  RM PAC(128,64) puts 7 frozen bits before bits 23, 39 and
         # 71, which gather every path in state 0 for m <= 7.
         code = PacCode.rm(7, 64, gen)
         events = []
@@ -421,11 +443,12 @@ class TestDecode:
 
         def observer(t, states, metrics, keep):
             cuts.append(t)
-            assert live[0].bank.llr.shape[0] <= cap < states.size
+            # before the first step's hook the bank holds its one starting row
+            assert (live[0].bank.llr.shape[0] if live else 1) <= cap < states.size
 
         d, llrs = make_trial(code, 1.0, rng)
         decode(llrs, code, cfg, step_hook=hook, prune_observer=observer)
-        assert len(rows) == code.N and max(rows) == cap
+        assert len(rows) == len(node_schedule(code)) and max(rows) == cap
         assert cuts
 
     @pytest.mark.parametrize("mode", ["approximate", "exact"])
@@ -455,3 +478,109 @@ class TestDecode:
         for cfg in ALL_CONFIGS:
             with pytest.raises(ValueError, match="finite"):
                 decode(np.full(code.N, bad), code, cfg)
+
+
+def node_codes():
+    """Codes whose schedules hold every kind of node, all with m = 6."""
+    rng = np.random.default_rng(0x5EED)
+    g = 0o133
+    return [
+        *(PacCode(5, 16, rng.choice(32, 16, replace=False), g) for _ in range(3)),
+        PacCode(5, 12, rng.choice(24, 12, replace=False), g),  # trailing Rate-0 nodes
+        PacCode(4, 16, range(16), g),  # K = N: every node one bit wide
+        PacCode(6, 1, (63,), g),  # one REP node of the whole code
+        PacCode(6, 1, (0,), g),  # then Rate-0 nodes only
+        # a REP node of 128 bits, [128, 256), entered in the state that bits 120..127 left
+        PacCode(8, 9, (*range(120, 128), 255), g),
+    ]
+
+
+def node_code_id(code):
+    return f"N{code.N}-K{code.K}-A{code.A[0]}.{code.A[-1]}"
+
+
+class TestNodeSchedule:
+    @pytest.mark.parametrize("nodes", [True, False])
+    @pytest.mark.parametrize("code", [*node_codes(), PacCode.rm(7, 64, 0o133)], ids=node_code_id)
+    def test_steps_tile_the_code(self, code, nodes):
+        info = np.zeros(code.N, dtype=bool)
+        info[list(code.A)] = True
+        t = 0
+        for stage, is_info in node_schedule(code, nodes):
+            w = 1 << stage
+            assert t % w == 0 and (nodes or stage == 0)
+            # Rate-0: no information bit; REP: the last bit only
+            assert is_info == info[t + w - 1] and not info[t : t + w - 1].any()
+            t += w
+        assert t == code.N
+        assert sum(info for _, info in node_schedule(code, nodes)) == code.K
+
+    def test_step_counts(self):
+        # with every frozen bit of an RM profile inside a REP node, matched rules take K
+        # steps; mixed rule pairs charge bit by bit, N steps
+        for n, K in ((7, 64), (10, 512)):
+            code = PacCode.rm(n, K, 0o133)
+            llrs = np.ones(code.N)
+            for metric, rule, steps in (("approximate", "min-sum", K), ("exact", "exact", K),
+                                        ("exact", "min-sum", code.N),
+                                        ("approximate", "exact", code.N)):
+                for sorting in ("global", "local"):
+                    cfg = DecoderConfig(sorting, 2, metric, rule)
+                    assert len(PathSet(llrs, code, cfg).steps) == steps
+
+    @pytest.mark.parametrize("code", node_codes(), ids=node_code_id)
+    def test_bit_identical_with_naive_list_reference(self, code, rng):
+        # the reference decodes bit by bit; integer LLRs make the node sums exact
+        for L in (2, 8):
+            cfg = DecoderConfig("global", L)
+            for _ in range(6):
+                _, llrs = make_trial(code, 1.5, rng)
+                for x in (llrs, np.round(llrs)):
+                    got = decode(x, code, cfg).d_hat
+                    assert np.array_equal(got, naive_scl_reference(x, code, L))
+
+    def test_wide_rep_node_is_entered_in_nonzero_states(self, rng):
+        code = node_codes()[-1]
+        assert node_schedule(code)[-1] == (7, True)  # bits 128..255
+        entry = []
+
+        def hook(t, ps):
+            if t == 127:
+                entry.append(ps.states.copy())
+
+        for _ in range(6):
+            _, llrs = make_trial(code, 1.5, rng)
+            decode(llrs, code, DecoderConfig("global", 8), step_hook=hook)
+        assert all(states.any() for states in entry)
+
+    @pytest.mark.parametrize("cfg", [*ALL_CONFIGS, DecoderConfig("local", 2, "exact", "exact")],
+                             ids=lambda c: f"{c.sorting}-L{c.list_size}-{c.metric_mode}")
+    def test_node_steps_match_one_bit_steps(self, cfg, rng, monkeypatch):
+        frames = []
+        for code in (*node_codes(), PacCode.rm(6, 32, 0o133)):
+            for _ in range(4):
+                _, llrs = make_trial(code, 1.5, rng)
+                frames += [(code, llrs), (code, np.round(llrs))]
+        by_node = [decode(x, code, cfg) for code, x in frames]
+        monkeypatch.setattr(DecoderConfig, "node_steps", property(lambda self: False))
+        for (code, x), res in zip(frames, by_node):
+            assert len(PathSet(x, code, cfg).steps) == code.N
+            one = decode(x, code, cfg)
+            assert np.array_equal(res.d_hat, one.d_hat)
+            if cfg.metric_mode == "approximate" and np.array_equal(x, np.round(x)):
+                assert res.metric == one.metric  # integer sums: exact either way
+            else:
+                assert res.metric == pytest.approx(one.metric, rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("A", [(4095,), (0,)])
+    def test_wide_code_keeps_small_tables(self, A, rng):
+        # node widths reach 2^11 and 2^12, but no table has more than 2^m x m entries
+        code = PacCode(12, 1, A, 0o133)
+        assert len(node_schedule(code)) == (1 if A == (4095,) else 13)
+        assert all(x.size <= (1 << code.m) * code.m and sign.shape == x.shape
+                   for x, sign, _ in node_tables(code.g, code.n))
+        for d in ([0], [1]):
+            d = np.array(d, dtype=np.int8)
+            for cfg in (DecoderConfig("global", 1), DecoderConfig("local", 2)):
+                res = decode(noiseless_llrs(code, d, mag=2.0), code, cfg)
+                assert np.array_equal(res.d_hat, d) and res.metric == 0.0

@@ -196,6 +196,63 @@ class TestCallOrderContract:
             sc.update_llrs(N)
 
 
+class TestNodeUpdates:
+    @staticmethod
+    def tiling(N, rng):
+        """Aligned nodes (t, stage) that tile [0, N), of random widths."""
+        nodes, t = [], 0
+        while t < N:
+            s = int(rng.integers(0, (t & -t).bit_length() if t else N.bit_length()))
+            nodes.append((t, s))
+            t += 1 << s
+        return nodes
+
+    @pytest.mark.parametrize("N", [2, 16, 64])
+    @pytest.mark.parametrize("combining", ["min-sum", "exact"])
+    def test_node_block_equals_bitwise_stage(self, N, combining, rng):
+        # a node's LLR block is the stage-s block that bit-by-bit updates pass through,
+        # and committing polar(u) over the node leaves later blocks as bit commits do
+        for _ in range(5):
+            u = rng.integers(0, 2, N, dtype=np.int8)
+            llrs = rng.normal(0, 2, N)
+            node, bits = ScBank(llrs, combining), ScBank(llrs, combining)
+            for t, s in self.tiling(N, rng):
+                w = 1 << s
+                alpha = node.update_llrs(t, s)
+                lam = bits.update_llrs(t)
+                if s:
+                    expect = llrs if w == N else bits.llr[0, w - 1 : 2 * w - 1]
+                    assert alpha.shape == (1, w) and np.array_equal(alpha[0], expect)
+                else:
+                    assert np.array_equal(alpha, lam)
+                node.update_partial_sums(t, polar_transform(u[t : t + w])[None, :] if s else u[t])
+                bits.update_partial_sums(t, u[t])
+                for b in range(t + 1, t + w):
+                    bits.update_llrs(b)
+                    bits.update_partial_sums(b, u[b])
+
+    def test_node_contract(self):
+        sc = ScBank(np.ones(16))
+        with pytest.raises(ContractViolationError, match="cannot start"):
+            sc.update_llrs(0, 5)  # wider than the code
+        sc.update_llrs(0, 1)
+        sc.update_partial_sums(0, np.zeros((1, 2), dtype=np.int8))
+        with pytest.raises(ContractViolationError, match="cannot start"):
+            sc.update_llrs(2, 2)  # a 4-bit node starts at a multiple of 4
+        with pytest.raises(ContractViolationError, match="out of order"):
+            sc.update_llrs(1)  # the 2-bit node committed bits 0 and 1
+        sc.update_llrs(2, 1)
+        with pytest.raises(ContractViolationError, match="already committed"):
+            sc.update_partial_sums(0, 0)
+        sc.update_partial_sums(2, np.zeros((1, 2), dtype=np.int8))
+        sc.update_llrs(4, 2)
+        sc.update_partial_sums(4, np.zeros((1, 4), dtype=np.int8))
+        sc.update_llrs(8, 3)
+        sc.update_partial_sums(8, np.zeros((1, 8), dtype=np.int8))
+        with pytest.raises(ContractViolationError, match="committed"):
+            sc.update_llrs(16)
+
+
 class TestBankBatching:
     def test_rows_evolve_independently(self, rng):
         llrs = rng.normal(0, 1, 8)

@@ -194,6 +194,18 @@ class TestConfidenceInterval:
         low, high = confidence_interval(p, 0.95)
         assert high == 1.0 and low > 0.9
 
+    def test_bounds_are_scipy_stats_beta_quantiles(self):
+        # the interval reads its quantiles from scipy.special; they are beta.ppf's, bit for bit
+        from scipy.stats import beta
+
+        for n in (1, 2, 3, 7, 50, 200, 10_000):
+            for k in sorted({0, 1, n // 3, n // 2, n - 1, n}):
+                for level in (0.5, 0.9, 0.95, 0.99):
+                    alpha = 1.0 - level
+                    low, high = confidence_interval(FerPoint(1.0, n, k, 0, k / n, 0.0), level)
+                    assert low == (0.0 if k == 0 else beta.ppf(alpha / 2, k, n - k + 1))
+                    assert high == (1.0 if k == n else beta.ppf(1 - alpha / 2, k + 1, n - k))
+
 
 class TestSerialization:
     def test_csv_schema(self):
