@@ -20,6 +20,11 @@ from their parent rows, so it never holds more rows than the budget.
 Paths keep no histories: each information bit stores a backpointer (parent
 row, bit) per survivor, and the winner is read back by one traceback.
 
+Several frames decode in lockstep as one set of rows, grouped by frame: the
+path count after every step depends only on the schedule and the budget, so
+every frame holds the same number of rows, and each step runs over all of
+them at once.  Each frame's rows keep the order they would have alone.
+
 Rows keep their order, so a row's position is its age: a v = 0 child takes
 its parent's row, the v = 1 children follow every older path, and a cut
 keeps its survivors in order.  An exact metric tie goes to the earlier row,
@@ -214,24 +219,29 @@ def branch_metric(llr, u_hat, mode: str = "approximate"):
 class PathSet:
     """The live decoder hypotheses, stored as parallel arrays (one row per path).
 
+    ``channel_llrs`` is one frame or a (frames, N) array of frames decoded in
+    lockstep (see the module docstring); rows are grouped by frame.
     ``parents`` and ``bits`` hold, per information bit, each survivor's
-    parent row and decided bit; ``traceback`` reads a message back from them.
+    parent row and decided bit, in the first ``decided`` rows of two
+    (K, rows) tables; ``traceback`` reads messages back from them.
     ``steps`` is the node schedule that ``decode`` walks for this code and config.
     """
 
     def __init__(self, channel_llrs, code: PacCode, config: DecoderConfig):
         llrs = np.asarray(channel_llrs, dtype=float)
-        if llrs.size != code.N:
-            raise ValueError(f"expected {code.N} channel LLRs, got {llrs.size}")
+        if llrs.ndim not in (1, 2) or llrs.shape[-1] != code.N:
+            raise ValueError(f"expected {code.N} channel LLRs per frame, got shape {llrs.shape}")
         self.code = code
         self.config = config
-        # no more than min(budget, 2^K) paths are ever live
-        cap = min(config.budget(code.m), 1 << code.K)
-        self.bank = ScBank(llrs, combining=config.combining_rule, capacity=cap)
-        self.states = np.zeros(1, dtype=np.int64)
-        self.metrics = np.zeros(1, dtype=float)
-        self.parents = []
-        self.bits = []
+        # no more than min(budget, 2^K) paths per frame are ever live
+        rows = min(config.budget(code.m), 1 << code.K) * (llrs.shape[0] if llrs.ndim == 2 else 1)
+        self.bank = ScBank(llrs, combining=config.combining_rule, capacity=rows)
+        self.frames = self.bank.frames
+        self.states = np.zeros(self.frames, dtype=np.int64)
+        self.metrics = np.zeros(self.frames, dtype=float)
+        self.parents = np.empty((code.K, rows), dtype=np.int16 if rows < 1 << 15 else np.intp)
+        self.bits = np.empty((code.K, rows), dtype=bool)
+        self.decided = 0
         # after the bank: made by the first decode, these cached tables stay above its
         # bank on the heap, so glibc's default malloc does not trim and re-fault the
         # bank between decodes
@@ -242,21 +252,36 @@ class PathSet:
 
     @property
     def size(self) -> int:
+        """Live paths over all frames."""
         return self.metrics.size
 
     def ranking(self) -> np.ndarray:
-        """Rows best first: smallest metric, then earliest row (a stable sort)."""
+        """Rows best first, frame by frame: smallest metric, then earliest row (a stable sort)."""
         if self.size == 0:
             raise ContractViolationError("no surviving paths to select from")
-        return np.argsort(self.metrics, kind="stable")
+        order = self.metrics.reshape(self.frames, -1).argsort(kind="stable")
+        if self.frames > 1:
+            order += np.arange(0, self.size, order.shape[1])[:, None]
+        return order.ravel()
 
-    def traceback(self, row: int) -> np.ndarray:
-        """The information bits decided so far along the path that ends in ``row``."""
-        d = np.empty(len(self.bits), dtype=np.int8)
-        for j in range(len(self.bits) - 1, -1, -1):
-            d[j] = self.bits[j][row]
-            row = self.parents[j][row]
-        return d
+    def traceback(self, rows) -> np.ndarray:
+        """The information bits decided so far along the paths that end in ``rows``.
+
+        ``rows`` is one row or an array of rows; the result has the bits as
+        one more, last, axis.  Each path is walked back with Python integers:
+        a numpy call per bit would cost several times more for the few
+        frames of a batch.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        parents, bits = memoryview(self.parents), memoryview(self.bits)
+        paths = []
+        for row in rows.ravel().tolist():
+            path = [0] * self.decided
+            for j in range(self.decided - 1, -1, -1):
+                path[j] = bits[j, row]
+                row = parents[j, row]
+            paths.append(path)
+        return np.array(paths, dtype=np.int8).reshape(*rows.shape, self.decided)
 
 
 def _node_llrs(paths: PathSet, t: int, stage: int):
@@ -298,54 +323,74 @@ def extend_frozen(paths: PathSet, t: int, stage: int = 0) -> PathSet:
     return paths
 
 
+def _children(v0, v1, frames: int):
+    """Per frame, the rows of ``v0``, then those of ``v1``: the order of a split's children."""
+    if frames == 1:
+        return np.concatenate((v0, v1))
+    shape = (frames, -1, *v0.shape[1:])
+    return np.concatenate((v0.reshape(shape), v1.reshape(shape)), axis=1).reshape(-1, *v0.shape[1:])
+
+
 def extend_info(paths: PathSet, t: int, stage: int = 0, observer=None) -> PathSet:
     """REP step: over the 2^stage bits from t, frozen but the last, split every path in two.
 
     The children take v = 0 and v = 1 at the node's information bit, its
     last; both extend from the parent's register state on entry, and the
     v = 1 child's partial sums are the v = 0 child's, flipped.  The path
-    arrays are replaced by the children's (v = 0 children first, v = 1
-    children after them, both in parent order), and ``prune`` (given
+    arrays are replaced by the children's (per frame, v = 0 children first,
+    v = 1 children after them, both in parent order), and ``prune`` (given
     ``observer``) selects among them; only then are the survivors' parent
     rows of the bank gathered and their partial sums committed.
     """
-    P = paths.size
+    frames = paths.frames
+    per = paths.size // frames  # parents per frame
     z, x = _node_llrs(paths, t, stage)
     shifted = paths.states >> paths._tables[stage][2]
-    paths.states = np.concatenate((shifted, shifted | paths._high))
-    paths.metrics = np.concatenate((paths.metrics, paths.metrics)) + _node_sum(
-        paths._phi(0.0, np.concatenate((z, -z))))
+    paths.states = _children(shifted, shifted | paths._high, frames)
+    paths.metrics = _children(paths.metrics, paths.metrics, frames) + _node_sum(
+        paths._phi(0.0, _children(z, -z, frames)))
     keep = prune(paths, observer=observer)
-    parent = keep % P
-    bit = (keep >= P).astype(np.int8)
+    j, k = paths.decided, keep.size
+    # a kept child's position in its frame says its bit; its parent is that position
+    # modulo the frame's parents, offset by the frame's first row
+    if frames == 1:
+        pos, parent = keep, keep % per
+    else:
+        frame, pos = np.divmod(keep, 2 * per)
+        parent = pos % per + frame * per
+    bit = np.greater_equal(pos, per, out=paths.bits[j, :k])
+    paths.parents[j, :k] = parent  # the bank's gather and the sums below read parent as intp
+    paths.decided = j + 1
     paths.bank.take(parent)
     paths.bank.update_partial_sums(t, x[parent] ^ (bit if x.ndim == 1 else bit[:, None]))
-    paths.parents.append(parent)
-    paths.bits.append(bit)
     return paths
 
 
 def prune(paths: PathSet, observer=None) -> np.ndarray:
     """Narrow the path arrays to the survivors; return the kept rows, in row order.
 
-    All rows are kept while within the budget of ``paths.config``.  Over it,
-    the rows form equal contiguous groups, one under global sorting and one
-    per occupied register state under local sorting, and each keeps its
-    list_size smallest metrics, a tie going to the earlier row.  Only states
-    and metrics are narrowed, not the bank; ``observer(states, metrics, keep)`` sees cuts.
+    All rows are kept while each frame is within the budget of
+    ``paths.config``.  Over it, each frame's rows form equal contiguous
+    groups, one under global sorting and one per occupied register state
+    under local sorting, and each keeps its list_size smallest metrics, a tie
+    going to the earlier row.  Only states and metrics are narrowed, not the
+    bank; ``observer(states, metrics, keep)`` sees cuts.
 
-    Under local sorting the rows stay sorted by state, with equal counts in
-    the occupied states, by induction: a shift keeps the states in order, the
-    v = 0 children's states all precede the v = 1 children's, and a cut leaves
-    list_size paths in every occupied state.  The occupied states are those
-    whose bits written at information bits take every value and whose other
-    bits are 0, so the last row's state, all free bits set, counts the groups.
+    Under local sorting each frame's rows stay sorted by state, with equal
+    counts in the occupied states, by induction: a shift keeps the states in
+    order, the v = 0 children's states all precede the v = 1 children's, and
+    a cut leaves list_size paths in every occupied state.  The occupied
+    states are those whose bits written at information bits take every value
+    and whose other bits are 0, so the last row's state, all free bits set,
+    counts the groups; every frame has the same states.
     """
     cfg = paths.config
     size = paths.size
-    if size <= cfg.budget(paths.code.m):
+    if size <= cfg.budget(paths.code.m) * paths.frames:
         return np.arange(size)
-    groups = 1 if cfg.sorting == "global" else 1 << int(paths.states[-1]).bit_count()
+    groups = paths.frames
+    if cfg.sorting == "local":
+        groups <<= int(paths.states[-1]).bit_count()
     width = size // groups
     keep = paths.metrics.reshape(groups, width).argsort(kind="stable")[:, : cfg.list_size]
     if groups > 1:  # positions in groups to rows; for one group the add would outcost the sort
@@ -361,7 +406,11 @@ def prune(paths: PathSet, observer=None) -> np.ndarray:
 
 @dataclass
 class DecodeResult:
-    """Winner of a decode plus the final survivor set for diagnostics."""
+    """Winner of a decode plus the final survivor set for diagnostics.
+
+    For a (frames, N) batch every field has a leading frame axis, and
+    ``metric`` is an array.
+    """
 
     d_hat: np.ndarray
     metric: float
@@ -372,7 +421,7 @@ class DecodeResult:
 
 def decode(channel_llrs, code: PacCode, config: DecoderConfig,
            step_hook=None, prune_observer=None) -> DecodeResult:
-    """Run the configured trellis decoder over one block of channel LLRs.
+    """Run the configured trellis decoder over one block of channel LLRs, or a batch of them.
 
     Decoding starts from a single zero-state, zero-metric path and walks the
     code's node schedule (``node_schedule``) over t = 0 .. N-1, one step per
@@ -384,9 +433,14 @@ def decode(channel_llrs, code: PacCode, config: DecoderConfig,
     u = conv(v, g), and its final metric.  The winner has the smallest
     metric, a tie going to the earlier row, the older path.
 
+    ``channel_llrs`` of shape (frames, N) decodes every row as its own frame,
+    all in lockstep through the same steps; each frame's result is
+    byte-identical to its own one-frame call, and the result's fields gain
+    a leading frame axis.  A one-frame call is the batch of one.
+
     ``step_hook(t, paths)`` is called after each step; ``prune_observer``
     receives (t, states, metrics, kept_rows) at every pruning event.  Both
-    see t as the last bit of the step's node.
+    see t as the last bit of the step's node, and every frame's rows.
     """
     paths = PathSet(channel_llrs, code, config)
     t = 0
@@ -399,14 +453,12 @@ def decode(channel_llrs, code: PacCode, config: DecoderConfig,
         if step_hook is not None:
             step_hook(last, paths)
         t = last + 1
-    order = paths.ranking()
-    win = int(order[0])
+    order = paths.ranking().reshape(paths.frames, -1)
+    win = order[:, 0]
     d_hat = paths.traceback(win)
     v_hat = rate_profile_insert(d_hat, code.A, code.N)
-    return DecodeResult(
-        d_hat=d_hat,
-        metric=float(paths.metrics[win]),
-        v_hat=v_hat,
-        u_hat=conv_transform(v_hat, code.g),
-        survivor_metrics=paths.metrics[order],
-    )
+    u_hat = conv_transform(v_hat, code.g)
+    metric, survivors = paths.metrics[win], paths.metrics[order]
+    if paths.bank.channel.ndim == 1:  # one frame, given as one: no frame axis
+        return DecodeResult(d_hat[0], float(metric[0]), v_hat[0], u_hat[0], survivors[0])
+    return DecodeResult(d_hat, metric, v_hat, u_hat, survivors)

@@ -141,25 +141,32 @@ def rm_rate_profile(n: int, K: int) -> tuple:
 
 
 def rate_profile_insert(d, A, N: int) -> np.ndarray:
-    """Spread the message bits d over the positions A of a zero vector of length N."""
+    """Spread the message bits d over the positions A of a zero vector of length N.
+
+    An array of several axes holds one message per row of its last axis.
+    """
     d = np.asarray(d, dtype=np.int8)
     A = sorted(int(a) for a in A)
-    if d.shape != (len(A),):
+    if d.shape[-1:] != (len(A),):
         raise ValueError(f"message length {d.shape} does not match |A| = {len(A)}")
     if A and (A[0] < 0 or A[-1] >= N):
         raise ValueError(f"profile indices must lie in [0, {N})")
-    v = np.zeros(N, dtype=np.int8)
-    v[A] = d
+    v = np.zeros((*d.shape[:-1], N), dtype=np.int8)
+    v[..., A] = d
     return v
 
 
 def conv_transform(v, g) -> np.ndarray:
-    """Convolve the input with g over GF(2) from the all-zero state, truncated to len(v)."""
-    v = np.asarray(v, dtype=np.int8)
-    g = np.asarray(parse_gen(g), dtype=np.int8)
-    if v.size == 0:
-        return v.copy()
-    return (np.convolve(v.astype(np.int64), g.astype(np.int64))[: v.size] & 1).astype(np.int8)
+    """Convolve the input with g over GF(2) from the all-zero state, truncated to len(v).
+
+    An array of several axes is convolved along its last.
+    """
+    v = np.array(v, dtype=np.int8, ndmin=1)
+    u = v.copy()
+    for i, tap in enumerate(parse_gen(g)[1 : v.shape[-1]], 1):
+        if tap:
+            u[..., i:] ^= v[..., :-i]
+    return u
 
 
 def conv_inverse(u, g) -> np.ndarray:

@@ -19,8 +19,12 @@ writes the node's 2^s partial sums as that stage's block and folds upward from
 there as a bit's commit does.
 
 ``ScBank`` holds one scratch row per decoder path and applies every update to
-all rows at once; it starts with one row, and pruning and path splitting
-gather rows with ``take``.
+all rows at once.  It may hold several frames, each with its own channel LLRs
+and its own paths: rows are grouped by frame, every frame holding the same
+number.  It starts with one row per frame, and pruning and path splitting
+gather rows with ``take``.  Only two updates read the channel: those at bit 0,
+when rows and frames still line up, and the g-update at stage n-1, which reads
+each frame's channel row against that frame's rows.
 """
 
 from __future__ import annotations
@@ -65,28 +69,36 @@ def f_exact(a, b, out=None):
 class ScBank:
     """Batched SC scratch: one row of intermediate LLRs and partial sums per path.
 
-    The finite channel LLRs are kept once, in the read-only vector ``channel``;
-    each row holds N - 1 intermediate LLRs (``llr``) and N - 1 partial sums
-    (``beta``), both in the per-stage layout of the module docstring.  The
-    bank starts with one row.  Updates follow the standard in-order schedule:
+    ``channel_llrs`` is one frame of N finite LLRs, or a (frames, N) array of
+    several, decoded in lockstep.  They are kept once, in the read-only array
+    ``channel``, as given; each row holds N - 1 intermediate LLRs (``llr``)
+    and N - 1 partial sums (``beta``), both in the per-stage layout of the
+    module docstring.  The bank starts with one row per frame; its rows are
+    grouped by frame, and every frame holds the same number of them.  Updates
+    follow the standard in-order schedule:
     ``update_llrs(t, s)`` then ``update_partial_sums(t, x)`` for nodes that
     tile 0 .. N-1 in order, t advancing by each node's width 2^s (s = 0, the
     default, for a bit).  Rows may be gathered with ``take`` (a row may be
     taken more than once) between the two calls.
-    ``capacity`` reserves room for that many rows, so that gathers within it
-    allocate nothing (fresh arrays at every information bit cost page faults
-    under glibc's default malloc settings).
+    ``capacity`` reserves room for that many rows, over all frames, so that
+    gathers within it allocate nothing (fresh arrays at every information bit
+    cost page faults under glibc's default malloc settings).
     """
 
     def __init__(self, channel_llrs, combining: str = "min-sum", capacity: int = 1):
-        llrs = np.array(channel_llrs, dtype=float).ravel()
-        N = llrs.size
+        llrs = np.array(channel_llrs, dtype=float, ndmin=1)
+        if llrs.ndim > 2:
+            raise ValueError(f"channel LLRs must be one frame or (frames, N), not {llrs.shape}")
+        frames, N = (1, *llrs.shape) if llrs.ndim == 1 else llrs.shape
         if N < 1 or N & (N - 1):
             raise ValueError(f"channel LLR length must be a power of two, got {N}")
+        if frames < 1:
+            raise ValueError("channel LLRs must hold at least one frame")
         if not np.isfinite(llrs).all():
             raise ValueError("channel LLRs must be finite")
         llrs.flags.writeable = False
         self.channel = llrs
+        self.frames = frames
         self.N = N
         self.n = N.bit_length() - 1
         if combining not in COMBINING_RULES:
@@ -95,8 +107,8 @@ class ScBank:
         # two sides per buffer: the live rows are a prefix of one side, and
         # take gathers into the other
         self._side = 0
-        self._beta_buf, self._llr_buf = self._buffers(max(capacity, 1))
-        self.llr, self.beta = self._llr_buf[0, :1], self._beta_buf[0, :1]
+        self._beta_buf, self._llr_buf = self._buffers(max(capacity, frames))
+        self.llr, self.beta = self._llr_buf[0, :frames], self._beta_buf[0, :frames]
         self.llr[:] = 0.0
         self.beta[:] = 0
         # _t: next undecided bit index; _pending: update_llrs done, commit outstanding,
@@ -128,17 +140,23 @@ class ScBank:
         if t % width or t + width > self.N:
             raise ContractViolationError(
                 f"a node of {width} bits cannot start at bit {t} of {self.N}")
-        # src is the block that stage s reads: the shared channel vector for s = n - 1
+        # src is the block that stage s reads: the channel for s = n - 1
         llr = self.llr
-        if t == 0:
+        if t == 0:  # one row per frame
             top, src = self.n, self.channel
         else:
             top = ((t & -t)).bit_length() - 1  # lowest set bit: g-update stage
             w = 1 << top
-            src = self.channel if top + 1 == self.n else llr[:, 2 * w - 1 : 4 * w - 1]
             dst = llr[:, w - 1 : 2 * w - 1]
             # b + (1 - 2 beta) a, the sign read from a table by the committed partial sum
-            np.add(src[..., w:], _SIGN[self.beta[:, w - 1 : 2 * w - 1]] * src[..., :w], out=dst)
+            sign = _SIGN[self.beta[:, w - 1 : 2 * w - 1]]
+            if top + 1 < self.n:
+                src, out = llr[:, 2 * w - 1 : 4 * w - 1], dst
+            else:  # each frame's channel row against its rows, as (frames, rows, w) blocks
+                src, out = self.channel.reshape(self.frames, 1, -1), dst.reshape(self.frames, -1, w)
+                sign = sign.reshape(out.shape)
+            # the product goes into the sign's own block: one (rows, w) temporary, not two
+            np.add(src[..., w:], np.multiply(sign, src[..., :w], out=sign), out=out)
             src = dst
         for s in range(top - 1, stage - 1, -1):
             w = 1 << s
@@ -147,7 +165,8 @@ class ScBank:
             src = dst
         self._pending = True
         self._stage = stage
-        # a node of the whole code has no intermediate stage: its LLRs are the channel's
+        # a node of the whole code has no intermediate stage: its LLRs are the channel's,
+        # one row per frame
         block = (llr[:, width - 1 : 2 * width - 1] if stage < self.n
                  else np.broadcast_to(self.channel, (self.n_paths, width)))
         return block if stage else block[:, 0]

@@ -83,6 +83,7 @@ def test_criterion_3_ml_oracle_equivalence():
             agree == frames, f"{agree}/{frames} agree")
 
 
+@pytest.mark.slow
 def test_criterion_4_degenerate_identities():
     frames = 10_000
 
@@ -190,6 +191,7 @@ def operating_snr():
     return best
 
 
+@pytest.mark.slow
 def test_criterion_6_trend_per_state_list_size(operating_snr):
     # fixed 32 total survivors, per-state list growing 2 -> 8 -> 32
     runs = [
@@ -212,6 +214,7 @@ def test_criterion_6_trend_per_state_list_size(operating_snr):
     _report(6, "FER non-increasing in per-state list size at fixed 32 survivors", ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_7_local_32_between_global_16_and_32(operating_snr):
     """Expected to fail; see module docstring for the measured mechanism."""
     ld_code = PacCode.rm(7, 64, 0o133)
@@ -234,6 +237,7 @@ def test_criterion_7_local_32_between_global_16_and_32(operating_snr):
             enough and between, detail)
 
 
+@pytest.mark.slow
 def test_criterion_8_worker_count_determinism(tmp_path):
     args = [
         "simulate", "--n", "5", "--k", "16", "--gen", "0o3",

@@ -148,7 +148,7 @@ class TestExtendFrozen:
         extend_frozen(ps, 0)  # decision LLR f(3,5) = +3, u = 0 matches
         assert ps.metrics[0] == 0.0
         # stage 0 holds the committed u of bit 0; a frozen bit records no backpointer (v = 0)
-        assert ps.bank.beta[0, 0] == 0 and ps.bits == []
+        assert ps.bank.beta[0, 0] == 0 and ps.decided == 0
 
     def test_disagreeing_llr_charges_magnitude(self):
         code = PacCode(n=1, K=1, A=(1,), g=(1, 1))
@@ -204,7 +204,7 @@ class TestExtendInfo:
         assert list(ps.states) == [0, 1]
         assert list(ps.bank.beta[:, 0]) == [0, 1]  # committed u of bit 0, per row
         assert [ps.traceback(i)[0] for i in range(ps.size)] == [0, 1]
-        assert list(ps.parents[0]) == [0, 0] and list(ps.bits[0]) == [0, 1]
+        assert list(ps.parents[0, :2]) == [0, 0] and list(ps.bits[0, :2]) == [0, 1]
 
 
 class TestPrune:
@@ -584,3 +584,89 @@ class TestNodeSchedule:
             for cfg in (DecoderConfig("global", 1), DecoderConfig("local", 2)):
                 res = decode(noiseless_llrs(code, d, mag=2.0), code, cfg)
                 assert np.array_equal(res.d_hat, d) and res.metric == 0.0
+
+
+BATCH_CONFIGS = [
+    DecoderConfig(sorting, L, metric, rule)
+    for sorting in ("global", "local")
+    for L in (1, 2, 8, 32)
+    for metric, rule in (("approximate", "min-sum"), ("exact", "exact"), ("exact", "min-sum"))
+]
+
+
+class TestBatch:
+    """A (frames, N) batch decodes every row as its own one-frame call would."""
+
+    @staticmethod
+    def codes():
+        rng = np.random.default_rng(0xBA7C)
+        return [
+            PacCode.rm(5, 16, 0o133),
+            PacCode.rm(6, 32, 0o7),
+            PacCode(5, 16, rng.choice(32, 16, replace=False), 0o133),  # a random profile
+            PacCode(4, 16, range(16), 0o7),  # K = N
+            PacCode(6, 1, (63,), 0o133),  # K = 1: one REP node of the whole code
+            PacCode(6, 1, (0,), 0o133),  # K = 1, then Rate-0 nodes
+        ]
+
+    @pytest.mark.parametrize(
+        "cfg", BATCH_CONFIGS,
+        ids=lambda c: f"{c.sorting}-L{c.list_size}-{c.metric_mode}-{c.combining_rule}")
+    def test_rows_decode_as_their_own_calls(self, cfg, rng):
+        for code in self.codes():
+            llrs = np.stack([make_trial(code, 1.0, rng)[1] for _ in range(4)])
+            # integer-rounded LLRs force metric ties at cuts and in the winner
+            for x in (llrs, np.round(llrs)):
+                batch = decode(x, code, cfg)
+                assert batch.d_hat.shape == (4, code.K) and batch.metric.shape == (4,)
+                for row, frame in enumerate(x):
+                    one = decode(frame, code, cfg)
+                    for name in ("d_hat", "v_hat", "u_hat", "survivor_metrics"):
+                        got, expect = getattr(batch, name)[row], getattr(one, name)
+                        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes(), name
+                    assert isinstance(one.metric, float)
+                    assert batch.metric[row].tobytes() == np.float64(one.metric).tobytes()
+
+    def test_frames_hold_equal_rows_and_states(self, rng):
+        # every frame holds the same number of rows after every step, and under local
+        # sorting the same register states, whatever its LLRs
+        code = PacCode.rm(6, 32, 0o133)
+        for cfg in (DecoderConfig("global", 8), DecoderConfig("local", 2)):
+            x = np.stack([make_trial(code, 1.0, rng)[1] for _ in range(3)])
+            seen = []
+
+            def hook(t, ps):
+                assert ps.frames == 3 and ps.size % 3 == 0
+                assert ps.bank.llr.shape == (ps.size, code.N - 1)
+                states = ps.states.reshape(3, -1)
+                if cfg.sorting == "local":
+                    assert (states == states[0]).all()
+                seen.append(ps.size // 3)
+
+            decode(x, code, cfg, step_hook=hook)
+            assert max(seen) == min(cfg.budget(code.m), 1 << code.K)
+
+    def test_backpointers_fill_one_table(self, rng):
+        # one (K, rows) table each for parent rows and bits, narrow where rows allow
+        code = PacCode.rm(5, 16, 0o133)
+        x = np.stack([make_trial(code, 1.0, rng)[1] for _ in range(2)])
+        ps = final_pathset(x, code, DecoderConfig("global", 4))
+        assert ps.decided == code.K
+        assert ps.parents.shape == ps.bits.shape == (code.K, 8)
+        assert ps.parents.dtype == np.int16 and ps.bits.dtype == bool
+        # 2^15 rows need wide parent rows
+        code = PacCode(4, 16, range(16), 0o3)
+        wide = PathSet(np.ones(16), code, DecoderConfig("global", 1 << 15))
+        assert wide.parents.shape == (16, 1 << 15) and wide.parents.dtype == np.intp
+
+    def test_one_frame_batch_equals_one_frame(self, rng):
+        code = PacCode.rm(5, 16, 0o133)
+        _, llrs = make_trial(code, 1.0, rng)
+        batch, one = decode(llrs[None, :], code, DecoderConfig("local", 2)), decode(
+            llrs, code, DecoderConfig("local", 2))
+        assert np.array_equal(batch.d_hat[0], one.d_hat) and batch.metric[0] == one.metric
+
+    @pytest.mark.parametrize("shape", [(0, 16), (2, 8), (2, 2, 16)])
+    def test_rejects_bad_batch_shapes(self, shape):
+        with pytest.raises(ValueError):
+            decode(np.ones(shape), PacCode.rm(4, 8, 0o3), DecoderConfig())

@@ -323,3 +323,38 @@ class TestBankBatching:
             out.append(bit)
             bank.update_partial_sums(t, np.array([bit], dtype=np.int8))
         assert np.array_equal(out, u)
+
+    @pytest.mark.parametrize("combining", ["min-sum", "exact"])
+    def test_frames_equal_one_bank_each(self, combining, rng):
+        # frames with different channels, gathered and committed alike, give each frame's
+        # rows what a bank of that frame alone gives; a stage-n node reads the channel whole
+        N, frames = 16, 3
+        for tiling in (TestNodeUpdates.tiling(N, rng), TestNodeUpdates.tiling(N, rng), [(0, 4)]):
+            llrs = rng.normal(0, 2, (frames, N))
+            batch = ScBank(llrs, combining, capacity=frames * 4)
+            alone = [ScBank(row, combining, capacity=4) for row in llrs]
+            assert batch.channel.shape == (frames, N) and batch.n_paths == frames
+            for t, s in tiling:
+                w = 1 << s
+                block = batch.update_llrs(t, s)
+                per = batch.n_paths // frames
+                for f, bank in enumerate(alone):
+                    assert np.array_equal(block[f * per : (f + 1) * per], bank.update_llrs(t, s))
+                # every frame keeps the same number of rows, each picking its own
+                keep = [rng.integers(0, per, size=int(rng.integers(1, 5))) for _ in alone]
+                keep = [k[: min(map(len, keep))] for k in keep]
+                batch.take(np.concatenate([f * per + k for f, k in enumerate(keep)]))
+                x = rng.integers(0, 2, (batch.n_paths, w), dtype=np.int8)
+                batch.update_partial_sums(t, x if s else x[:, 0])
+                rows = len(keep[0])
+                for f, (bank, k) in enumerate(zip(alone, keep)):
+                    bank.take(k)
+                    xf = x[f * rows : (f + 1) * rows]
+                    bank.update_partial_sums(t, xf if s else xf[:, 0])
+                    assert np.array_equal(batch.llr[f * rows : (f + 1) * rows], bank.llr)
+                    assert np.array_equal(batch.beta[f * rows : (f + 1) * rows], bank.beta)
+
+    @pytest.mark.parametrize("shape", [(0, 8), (2, 2, 8), (2, 6)])
+    def test_rejects_bad_frame_shapes(self, shape):
+        with pytest.raises(ValueError):
+            ScBank(np.ones(shape))

@@ -2,10 +2,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pactrellis import sim
-from pactrellis.decoder import DecoderConfig
+from pactrellis.decoder import DecoderConfig, decode
 from pactrellis.pac_core import PacCode
 from pactrellis.sim import (
     CSV_COLUMNS,
@@ -79,35 +80,45 @@ class TestRunPoint:
 
     @pytest.mark.parametrize("snr, min_errors", [(2.0, 15), (0.0, 5), (30.0, 1)])
     def test_serial_decodes_only_reported_trials(self, monkeypatch, snr, min_errors):
-        # a serial run stops decoding at the stopping trial, mid-chunk included
-        calls = []
+        # a serial run stops decoding at the stopping trial, mid-chunk and mid-batch
+        # included: every trial drawn is decoded, in one lockstep batch or another
+        calls, decoded = [], []
+        draw = sim._draw_trial
 
-        def counting_trial(plan, snr_index, trial_index):
+        def counting_draw(plan, snr_index, trial_index):
             calls.append(trial_index)
-            return run_trial(plan, snr_index, trial_index)
+            return draw(plan, snr_index, trial_index)
+
+        def counting_decode(llrs, code, config):
+            decoded.append(len(llrs))
+            return decode(llrs, code, config)
 
         plan = small_plan(snr_points=(snr,), min_frame_errors=min_errors)
         expected = run_point(plan, 0)
-        monkeypatch.setattr(sim, "run_trial", counting_trial)
+        monkeypatch.setattr(sim, "_draw_trial", counting_draw)
+        monkeypatch.setattr(sim, "decode", counting_decode)
         point = run_point(plan, 0, workers=1)
         assert same_point(point, expected)
         assert calls == list(range(point.trials))
+        assert sum(decoded) == point.trials
 
     def test_pool_chunks_stop_at_their_own_target(self, monkeypatch):
         # chunk 0 decodes exactly the reported trials; a speculative chunk stops
         # at the stop_at-th error it was submitted with instead of running whole
         calls = []
+        draw = sim._draw_trial
 
-        def counting_trial(plan, snr_index, trial_index):
+        def counting_draw(plan, snr_index, trial_index):
             calls.append(trial_index)
-            return run_trial(plan, snr_index, trial_index)
+            return draw(plan, snr_index, trial_index)
 
         plan = small_plan(snr_points=(0.0,), min_frame_errors=5, max_trials=5000)
         expected = run_point(plan, 0)
         assert expected.trials <= sim.TRIALS_PER_CHUNK
-        monkeypatch.setattr(sim, "run_trial", counting_trial)
+        monkeypatch.setattr(sim, "_draw_trial", counting_draw)
         with ThreadPoolExecutor(2) as pool:
             point = run_point(plan, 0, workers=2, executor=pool)
+        monkeypatch.undo()
         assert same_point(point, expected)
         by_chunk = {}
         for i in sorted(calls):
@@ -122,11 +133,50 @@ class TestRunPoint:
             if len(trials) < sim.TRIALS_PER_CHUNK:
                 assert sum(flags) == plan.min_frame_errors and flags[-1]
 
+    @pytest.mark.parametrize("snr, min_errors", [(2.0, 15), (0.0, 5), (30.0, 1)])
+    def test_batches_stay_within_the_missing_errors(self, monkeypatch, snr, min_errors):
+        # no lockstep batch holds more than batch_size frames or more than the errors still
+        # missing, none crosses a chunk, and the point is the one trial-by-trial decoding gives
+        sizes = []
+
+        def counting_decode(llrs, code, config):
+            sizes.append(len(llrs))
+            return decode(llrs, code, config)
+
+        plan = small_plan(snr_points=(snr,), min_frame_errors=min_errors)
+        assert sim.batch_size(plan) == 32  # 64 rows over a budget of 2 paths
+        monkeypatch.setattr(sim, "decode", counting_decode)
+        point = run_point(plan, 0)
+        monkeypatch.undo()
+        trials = [run_trial(plan, 0, i) for i in range(plan.max_trials)]
+        done = found = 0
+        for size in sizes:
+            chunk_left = sim.TRIALS_PER_CHUNK - done % sim.TRIALS_PER_CHUNK
+            assert 1 <= size <= min(sim.batch_size(plan), min_errors - found, chunk_left)
+            found += sum(flag for flag, _ in trials[done : done + size])
+            done += size
+        assert done == point.trials and found == point.frame_errors
+        cum = np.cumsum([flag for flag, _ in trials])
+        stop = int(np.argmax(cum >= min_errors)) + 1 if cum[-1] >= min_errors else plan.max_trials
+        assert point.trials == stop and point.frame_errors == cum[stop - 1]
+        assert point.bit_errors == sum(errs for _, errs in trials[:stop])
+
+    def test_batch_size_fills_64_rows(self):
+        code = PacCode.rm(10, 512, 0o133)
+        for name, list_size, frames in (("scl", 32, 2), ("scl", 8, 8), ("sc", None, 64),
+                                        ("lva", 2, 1), ("va", None, 1)):
+            plan = small_plan(code=code, decoder=DecoderConfig.from_name(name, list_size))
+            assert sim.batch_size(plan) == frames
+        # a code with few messages keeps fewer paths than the budget
+        plan = small_plan(code=PacCode.rm(3, 2, 0o133), decoder=DecoderConfig("local", 4))
+        assert sim.batch_size(plan) == 16
+
     def test_trial_reproducible_in_isolation(self):
         plan = small_plan(snr_points=(1.0,))
         for idx in (0, 3, 17):
             assert run_trial(plan, 0, idx) == run_trial(plan, 0, idx)
 
+    @pytest.mark.slow
     def test_worker_invariance(self):
         plan = small_plan(snr_points=(1.5,), min_frame_errors=25, max_trials=1200)
         base = run_point(plan, 0)
@@ -161,6 +211,7 @@ class TestRunSweep:
             # FER must not significantly increase with SNR
             assert hi_ci[0] <= lo_ci[1]
 
+    @pytest.mark.slow
     def test_list_size_helps_at_moderate_snr(self):
         # the flagship code: a 32-path list decoder clearly beats single-path SC
         code = PacCode.rm(7, 64, 0o133)
