@@ -100,7 +100,7 @@ def _parse_snr(text: str):
         a, step, b = (float(p) for p in parts)
         if step <= 0 or b < a:
             raise UsageError(f"--snr range must ascend with positive step, got {text!r}")
-        count = int(round((b - a) / step)) + 1
+        count = int((b - a) / step + 1e-9) + 1  # floor: the last point never passes b
         return tuple(round(a + i * step, 10) for i in range(count))
     return tuple(float(p) for p in text.split(","))
 

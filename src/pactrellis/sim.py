@@ -16,11 +16,12 @@ true stopping trial, so the reported prefix is the same whatever the worker
 count and results are byte-identical for any ``workers`` value.  A serial
 run decodes exactly that prefix.
 
-Inside a chunk, trials are drawn one by one as above and decoded in lockstep
-batches, one ``decode`` call each: up to ``LOCKSTEP_ROWS`` paths over all
-frames of a batch (``batch_size``), and never more frames than the errors
-still missing.  Each trial adds at most one frame error, so a batch that meets
-the target ends on the stopping trial.
+Inside a chunk, trials run in lockstep batches of up to ``LOCKSTEP_ROWS`` paths
+(``batch_size``) and never more frames than the errors still missing.  Each
+trial draws its message, then its noise, from its own generator as above; the
+batch is encoded, modulated, turned into LLRs and decoded as one array, one
+``decode`` call.  Each trial adds at most one frame error, so a batch that meets
+the target ends on the stopping trial.  ``run_trial`` is the batch of one.
 
 ``workers=1`` (the default) runs every chunk in the calling process and loads
 no process-pool modules; ``workers`` > 1 imports ``concurrent.futures`` and
@@ -121,22 +122,10 @@ def trial_rng(master_seed: int, snr_index: int, trial_index: int) -> np.random.G
     )
 
 
-def _draw_trial(plan: SimPlan, snr_index: int, trial_index: int):
-    """One frame's message and channel LLRs, drawn from its pinned generator: (d, llrs)."""
-    code = plan.code
-    rng = trial_rng(plan.master_seed, snr_index, trial_index)
-    d = rng.integers(0, 2, size=code.K, dtype=np.int8)
-    s = bpsk_modulate(pac_encode(d, code))
-    sigma2 = ChannelParams(plan.snr_points[snr_index], code.K / code.N).sigma2
-    y = awgn(s, sigma2, rng)
-    return d, channel_llr(y, sigma2)
-
-
 def run_trial(plan: SimPlan, snr_index: int, trial_index: int):
-    """One frame: draw, encode, transmit, decode. Returns (frame_error, bit_errors)."""
-    d, llrs = _draw_trial(plan, snr_index, trial_index)
-    errs = int(np.count_nonzero(decode(llrs, plan.code, plan.decoder).d_hat != d))
-    return errs > 0, errs
+    """One frame, run as the one-trial batch. Returns (frame_error, bit_errors)."""
+    flags, errs = _run_chunk(plan, snr_index, trial_index, 1, 1)
+    return bool(flags[0]), int(errs[0])
 
 
 def batch_size(plan: SimPlan) -> int:
@@ -151,14 +140,19 @@ def _run_chunk(plan: SimPlan, snr_index: int, start: int, count: int, stop_at: i
     frames and at most the errors still missing, so the batch that makes the
     ``stop_at``-th error ends on it.
     """
+    code = plan.code
+    sigma2 = ChannelParams(plan.snr_points[snr_index], code.K / code.N).sigma2
     errs = np.zeros(count, dtype=np.int64)
     size = batch_size(plan)
     done = found = 0
     while done < count and found < stop_at:
         b = min(size, stop_at - found, count - done)
-        d, llrs = zip(*(_draw_trial(plan, snr_index, start + done + i) for i in range(b)))
-        d_hat = decode(np.stack(llrs), plan.code, plan.decoder).d_hat
-        errs[done : done + b] = np.count_nonzero(d_hat != np.stack(d), axis=1)
+        rngs = [trial_rng(plan.master_seed, snr_index, start + done + i) for i in range(b)]
+        d = np.stack([rng.integers(0, 2, size=code.K, dtype=np.int8) for rng in rngs])
+        s = bpsk_modulate(pac_encode(d, code))
+        y = np.stack([awgn(row, sigma2, rng) for row, rng in zip(s, rngs)])
+        d_hat = decode(channel_llr(y, sigma2), code, plan.decoder).d_hat
+        errs[done : done + b] = np.count_nonzero(d_hat != d, axis=1)
         found += int(np.count_nonzero(errs[done : done + b]))
         done += b
     return errs[:done] > 0, errs[:done]

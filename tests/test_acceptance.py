@@ -83,6 +83,17 @@ def test_criterion_3_ml_oracle_equivalence():
             agree == frames, f"{agree}/{frames} agree")
 
 
+def _decoded_frames(code, config, rng, frames, batch=300):
+    """``frames`` make_trial frames at 2 dB in draw order, decoded ``batch`` at a time.
+
+    Yields (llrs, d_hat) per frame; a batch's rows decode byte-identically to
+    one-frame calls (``TestBatch`` in test_decoder.py).
+    """
+    for start in range(0, frames, batch):
+        llrs = np.stack([make_trial(code, 2.0, rng)[1] for _ in range(min(batch, frames - start))])
+        yield from zip(llrs, decode(llrs, code, config).d_hat)
+
+
 @pytest.mark.slow
 def test_criterion_4_degenerate_identities():
     frames = 10_000
@@ -93,10 +104,8 @@ def test_criterion_4_degenerate_identities():
     rng = np.random.default_rng(4001)
     info = list(code_a.A)
     a_ok = all(
-        np.array_equal(
-            decode(llrs, code_a, cfg_a).d_hat, polar_sc_reference(llrs, code_a.A)[info]
-        )
-        for llrs in (make_trial(code_a, 2.0, rng)[1] for _ in range(frames))
+        np.array_equal(d_hat, polar_sc_reference(llrs, code_a.A)[info])
+        for llrs, d_hat in _decoded_frames(code_a, cfg_a, rng, frames)
     )
 
     # (b) global sorting is bit-identical to the standalone list-decoder reference
@@ -105,14 +114,13 @@ def test_criterion_4_degenerate_identities():
     for L in (2, 8, 32):
         rng = np.random.default_rng(4100 + L)
         cfg = DecoderConfig("global", L)
-        for _ in range(frames):
-            _, llrs = make_trial(code_b, 2.0, rng)
-            if not np.array_equal(decode(llrs, code_b, cfg).d_hat,
-                                  naive_scl_reference(llrs, code_b, L)):
-                b_ok = False
-                break
+        b_ok &= all(
+            np.array_equal(d_hat, naive_scl_reference(llrs, code_b, L))
+            for llrs, d_hat in _decoded_frames(code_b, cfg, rng, frames)
+        )
 
-    # (c) single survivor per state implements add-compare-select at every merge
+    # (c) single survivor per state implements add-compare-select at every merge;
+    # one frame per call, since the observer groups one frame's rows by state
     code_c = PacCode.rm(6, 32, 0o7)
     cfg_c = DecoderConfig("local", 1)
     rng = np.random.default_rng(4200)

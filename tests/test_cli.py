@@ -143,6 +143,16 @@ class TestSimulate:
         assert "list size" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, points", [
+        ("1:0.6:2", (1.0, 1.6)),  # the last point never passes b
+        ("2:0.6:3", (2.0, 2.6)),
+        ("1.0:0.1:1.3", (1.0, 1.1, 1.2, 1.3)),
+        ("1:0.5:3", (1.0, 1.5, 2.0, 2.5, 3.0)),
+        ("2:1:2", (2.0,)),
+    ])
+    def test_snr_range_stops_at_its_end(self, text, points):
+        assert cli._parse_snr(text) == points
+
     @pytest.mark.parametrize("snr", ["nan", "2.0,inf"])
     def test_non_finite_snr_is_usage_error(self, snr, tmp_path, capsys):
         out = tmp_path / "r.csv"

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference_oracle import generator_matrix
 
 from pactrellis import sim
 from pactrellis.decoder import DecoderConfig, decode
@@ -83,11 +84,11 @@ class TestRunPoint:
         # a serial run stops decoding at the stopping trial, mid-chunk and mid-batch
         # included: every trial drawn is decoded, in one lockstep batch or another
         calls, decoded = [], []
-        draw = sim._draw_trial
+        draw = sim.trial_rng
 
-        def counting_draw(plan, snr_index, trial_index):
+        def counting_draw(master_seed, snr_index, trial_index):
             calls.append(trial_index)
-            return draw(plan, snr_index, trial_index)
+            return draw(master_seed, snr_index, trial_index)
 
         def counting_decode(llrs, code, config):
             decoded.append(len(llrs))
@@ -95,7 +96,7 @@ class TestRunPoint:
 
         plan = small_plan(snr_points=(snr,), min_frame_errors=min_errors)
         expected = run_point(plan, 0)
-        monkeypatch.setattr(sim, "_draw_trial", counting_draw)
+        monkeypatch.setattr(sim, "trial_rng", counting_draw)
         monkeypatch.setattr(sim, "decode", counting_decode)
         point = run_point(plan, 0, workers=1)
         assert same_point(point, expected)
@@ -106,16 +107,16 @@ class TestRunPoint:
         # chunk 0 decodes exactly the reported trials; a speculative chunk stops
         # at the stop_at-th error it was submitted with instead of running whole
         calls = []
-        draw = sim._draw_trial
+        draw = sim.trial_rng
 
-        def counting_draw(plan, snr_index, trial_index):
+        def counting_draw(master_seed, snr_index, trial_index):
             calls.append(trial_index)
-            return draw(plan, snr_index, trial_index)
+            return draw(master_seed, snr_index, trial_index)
 
         plan = small_plan(snr_points=(0.0,), min_frame_errors=5, max_trials=5000)
         expected = run_point(plan, 0)
         assert expected.trials <= sim.TRIALS_PER_CHUNK
-        monkeypatch.setattr(sim, "_draw_trial", counting_draw)
+        monkeypatch.setattr(sim, "trial_rng", counting_draw)
         with ThreadPoolExecutor(2) as pool:
             point = run_point(plan, 0, workers=2, executor=pool)
         monkeypatch.undo()
@@ -175,6 +176,34 @@ class TestRunPoint:
         plan = small_plan(snr_points=(1.0,))
         for idx in (0, 3, 17):
             assert run_trial(plan, 0, idx) == run_trial(plan, 0, idx)
+
+    def test_batch_rows_follow_the_readme_rng_contract(self, monkeypatch):
+        # every row of a lockstep batch is the README's trial, written out here apart
+        # from sim: Philox(key=seed, counter=[0, i, s, 0]) draws K message bits, then N
+        # normals; x = d G mod 2; LLR = 2((1 - 2x) + sqrt(sigma2) z) / sigma2
+        code = PacCode.rm(5, 16, 0o133)
+        plan = small_plan(code=code, decoder=DecoderConfig("global", 4), snr_points=(1.0, 2.5),
+                          min_frame_errors=40, max_trials=40)
+        batches = []
+
+        def capturing_decode(llrs, code, config):
+            batches.append(np.array(llrs))
+            return decode(llrs, code, config)
+
+        monkeypatch.setattr(sim, "decode", capturing_decode)
+        point = run_point(plan, 1)
+        assert max(len(b) for b in batches) == sim.batch_size(plan) == 16
+        rows = np.concatenate(batches)
+        assert len(rows) == point.trials == 40
+        G = generator_matrix(code)
+        sigma2 = 1 / (2 * (16 / 32) * 10 ** (2.5 / 10))
+        for i, row in enumerate(rows):
+            rng = np.random.Generator(np.random.Philox(key=11, counter=[0, i, 1, 0]))
+            d = rng.integers(0, 2, size=16, dtype=np.int8)
+            z = rng.standard_normal(32)
+            x = d.astype(int) @ G % 2
+            np.testing.assert_allclose(row, 2 * ((1 - 2 * x) + np.sqrt(sigma2) * z) / sigma2,
+                                       rtol=1e-12, atol=0)
 
     @pytest.mark.slow
     def test_worker_invariance(self):
