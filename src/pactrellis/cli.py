@@ -1,8 +1,8 @@
 """Command-line front end: encode, decode, simulate, latency, profile.
 
 Exit codes: 0 on success, 2 on usage errors (bad flags, flag combinations or
-input values, such as non-finite LLRs or SNR points), 3 on runtime failures
-(I/O errors, a worker process that died).
+input values, such as non-finite or too large LLRs and non-finite SNR points),
+3 on runtime failures (I/O errors, a worker process that died).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import sim
-from .decoder import _DECODER_NAMES, METRIC_MODES, DecoderConfig, decode
+from .decoder import DECODER_NAMES, METRIC_MODES, DecoderConfig, decode
 from .pac_core import PacCode, load_code_spec, parse_profile, rm_rate_profile
 from .sc_engine import COMBINING_RULES
 from .sorter import latency_report
@@ -54,7 +54,7 @@ def _resolve_code(args) -> PacCode:
 
 
 def _add_decoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--decoder", choices=tuple(_DECODER_NAMES), default="sc",
+    p.add_argument("--decoder", choices=tuple(DECODER_NAMES), default="sc",
                    help="decoder: sc, scl (--list L), va or lva (--list L per state); default sc")
     p.add_argument("--list", type=int, dest="list_size",
                    help="survivors kept for scl, or per state for lva")

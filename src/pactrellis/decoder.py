@@ -55,6 +55,7 @@ from .pac_core import PacCode, conv_transform, parity_table, polar_transform, ra
 from .sc_engine import COMBINING_RULES, ContractViolationError, ScBank
 
 __all__ = [
+    "DECODER_NAMES",
     "DecoderConfig",
     "PathSet",
     "DecodeResult",
@@ -70,7 +71,7 @@ SORTING_MODES = ("local", "global")
 _PHI = {"exact": np.logaddexp, "approximate": np.maximum}
 METRIC_MODES = tuple(_PHI)
 
-_DECODER_NAMES = {
+DECODER_NAMES = {
     "sc": ("global", 1),
     "scl": ("global", None),
     "va": ("local", 1),
@@ -111,9 +112,9 @@ class DecoderConfig:
         for va), so they take no list size other than 1.
         """
         try:
-            sorting, implied = _DECODER_NAMES[name]
+            sorting, implied = DECODER_NAMES[name]
         except KeyError:
-            raise ValueError(f"decoder name must be one of {sorted(_DECODER_NAMES)}, got {name!r}")
+            raise ValueError(f"decoder name must be one of {sorted(DECODER_NAMES)}, got {name!r}")
         if list_size is None:
             if implied is None:
                 raise ValueError(f"decoder {name!r} needs an explicit list size")
@@ -135,6 +136,10 @@ class DecoderConfig:
     def budget(self, m: int) -> int:
         """Total survivor budget for a code with memory m."""
         return self.list_size if self.sorting == "global" else self.list_size << m
+
+    def paths_per_frame(self, code: PacCode) -> int:
+        """The most paths a frame of ``code`` ever holds: its budget, or 2^K if fewer."""
+        return min(self.budget(code.m), 1 << code.K)
 
     @property
     def node_steps(self) -> bool:
@@ -225,6 +230,7 @@ class PathSet:
     parent row and decided bit, in the first ``decided`` rows of two
     (K, rows) tables; ``traceback`` reads messages back from them.
     ``steps`` is the node schedule that ``decode`` walks for this code and config.
+    ``per_frame`` is the most paths a frame holds (``DecoderConfig.paths_per_frame``).
     """
 
     def __init__(self, channel_llrs, code: PacCode, config: DecoderConfig):
@@ -233,8 +239,8 @@ class PathSet:
             raise ValueError(f"expected {code.N} channel LLRs per frame, got shape {llrs.shape}")
         self.code = code
         self.config = config
-        # no more than min(budget, 2^K) paths per frame are ever live
-        rows = min(config.budget(code.m), 1 << code.K) * (llrs.shape[0] if llrs.ndim == 2 else 1)
+        self.per_frame = config.paths_per_frame(code)
+        rows = self.per_frame * (llrs.shape[0] if llrs.ndim == 2 else 1)
         self.bank = ScBank(llrs, combining=config.combining_rule, capacity=rows)
         self.frames = self.bank.frames
         self.states = np.zeros(self.frames, dtype=np.int64)
@@ -319,7 +325,7 @@ def extend_frozen(paths: PathSet, t: int, stage: int = 0) -> PathSet:
     z, x = _node_llrs(paths, t, stage)
     paths.metrics += _node_sum(paths._phi(0.0, z))
     paths.states >>= paths._tables[stage][2]
-    paths.bank.update_partial_sums(t, x)
+    paths.bank.update_partial_sums(x)
     return paths
 
 
@@ -362,19 +368,19 @@ def extend_info(paths: PathSet, t: int, stage: int = 0, observer=None) -> PathSe
     paths.parents[j, :k] = parent  # the bank's gather and the sums below read parent as intp
     paths.decided = j + 1
     paths.bank.take(parent)
-    paths.bank.update_partial_sums(t, x[parent] ^ (bit if x.ndim == 1 else bit[:, None]))
+    paths.bank.update_partial_sums(x[parent] ^ (bit if x.ndim == 1 else bit[:, None]))
     return paths
 
 
 def prune(paths: PathSet, observer=None) -> np.ndarray:
     """Narrow the path arrays to the survivors; return the kept rows, in row order.
 
-    All rows are kept while each frame is within the budget of
-    ``paths.config``.  Over it, each frame's rows form equal contiguous
-    groups, one under global sorting and one per occupied register state
-    under local sorting, and each keeps its list_size smallest metrics, a tie
-    going to the earlier row.  Only states and metrics are narrowed, not the
-    bank; ``observer(states, metrics, keep)`` sees cuts.
+    All rows are kept while each frame is within ``paths.per_frame``, its
+    budget or 2^K paths, whichever is fewer.  Over it, each frame's rows form
+    equal contiguous groups, one under global sorting and one per occupied
+    register state under local sorting, and each keeps its list_size smallest
+    metrics, a tie going to the earlier row.  Only states and metrics are
+    narrowed, not the bank; ``observer(states, metrics, keep)`` sees cuts.
 
     Under local sorting each frame's rows stay sorted by state, with equal
     counts in the occupied states, by induction: a shift keeps the states in
@@ -386,7 +392,7 @@ def prune(paths: PathSet, observer=None) -> np.ndarray:
     """
     cfg = paths.config
     size = paths.size
-    if size <= cfg.budget(paths.code.m) * paths.frames:
+    if size <= paths.per_frame * paths.frames:
         return np.arange(size)
     groups = paths.frames
     if cfg.sorting == "local":

@@ -69,14 +69,15 @@ def f_exact(a, b, out=None):
 class ScBank:
     """Batched SC scratch: one row of intermediate LLRs and partial sums per path.
 
-    ``channel_llrs`` is one frame of N finite LLRs, or a (frames, N) array of
-    several, decoded in lockstep.  They are kept once, in the read-only array
-    ``channel``, as given; each row holds N - 1 intermediate LLRs (``llr``)
-    and N - 1 partial sums (``beta``), both in the per-stage layout of the
-    module docstring.  The bank starts with one row per frame; its rows are
+    ``channel_llrs`` is one frame of N LLRs, or a (frames, N) array of
+    several, decoded in lockstep, each finite and at most float max / N^2 in
+    magnitude (path metrics reach N^2 times it).  They are kept once, in the
+    read-only array ``channel``, as given; each row holds N - 1 intermediate
+    LLRs (``llr``) and N - 1 partial sums (``beta``), both in the per-stage
+    layout of the module docstring.  The bank starts with one row per frame; its rows are
     grouped by frame, and every frame holds the same number of them.  Updates
     follow the standard in-order schedule:
-    ``update_llrs(t, s)`` then ``update_partial_sums(t, x)`` for nodes that
+    ``update_llrs(t, s)`` then ``update_partial_sums(x)`` for nodes that
     tile 0 .. N-1 in order, t advancing by each node's width 2^s (s = 0, the
     default, for a bit).  Rows may be gathered with ``take`` (a row may be
     taken more than once) between the two calls.
@@ -94,8 +95,9 @@ class ScBank:
             raise ValueError(f"channel LLR length must be a power of two, got {N}")
         if frames < 1:
             raise ValueError("channel LLRs must hold at least one frame")
-        if not np.isfinite(llrs).all():
-            raise ValueError("channel LLRs must be finite")
+        bound = np.finfo(float).max / N**2  # also false for NaN and +-inf
+        if not (np.abs(llrs) <= bound).all():
+            raise ValueError(f"channel LLRs must be finite and at most {bound:.4g} in magnitude")
         llrs.flags.writeable = False
         self.channel = llrs
         self.frames = frames
@@ -171,25 +173,22 @@ class ScBank:
                  else np.broadcast_to(self.channel, (self.n_paths, width)))
         return block if stage else block[:, 0]
 
-    def update_partial_sums(self, t: int, x) -> None:
-        """Commit the partial sums of the node at t, the one ``update_llrs`` last computed.
+    def update_partial_sums(self, x) -> None:
+        """Commit the partial sums of the node that ``update_llrs`` last computed.
 
         ``x`` holds polar(u) over the node's 2^s bits, one row per path, as a
         (paths, 2^s) block; for a bit it is the decided u, one per path or
         one for all.
         """
-        if not self._pending or t != self._t:
-            if t < self._t:
-                raise ContractViolationError(f"bit {t} already committed")
+        if not self._pending:
             raise ContractViolationError(
-                f"update_partial_sums({t}) requires update_llrs({self._t}) first"
-            )
+                f"update_partial_sums requires update_llrs({self._t}) first")
         # the node's last bit closes a right block at each stage from the
         # node's up to top (its trailing one bits); each folds into that
         # stage's left block, filling the merged block from its right end, and
         # the merged block parks at stage top
         width = 1 << self._stage
-        last = t + width - 1
+        last = self._t + width - 1
         top = (~last & (last + 1)).bit_length() - 1  # trailing one bits of the last bit
         if top < self.n:  # bit N - 1 would fold into stage n, which no later bit reads
             beta = self.beta
@@ -205,7 +204,7 @@ class ScBank:
                     out=beta[:, end - 2 * w : end - w],
                 )
         self._pending = False
-        self._t = t + width
+        self._t = last + 1
 
     def _buffers(self, rows: int):
         # beta's first: glibc's default malloc then reuses a freed bank, not trims and refaults it

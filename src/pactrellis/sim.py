@@ -20,7 +20,8 @@ Inside a chunk, trials run in lockstep batches of up to ``LOCKSTEP_ROWS`` paths
 (``batch_size``) and never more frames than the errors still missing.  Each
 trial draws its message, then its noise, from its own generator as above; the
 batch is encoded, modulated, turned into LLRs and decoded as one array, one
-``decode`` call.  Each trial adds at most one frame error, so a batch that meets
+``decode`` call.  A chunk returns each trial's bit-error count, a frame error
+where nonzero.  Each trial adds at most one frame error, so a batch that meets
 the target ends on the stopping trial.  ``run_trial`` is the batch of one.
 
 ``workers=1`` (the default) runs every chunk in the calling process and loads
@@ -124,17 +125,17 @@ def trial_rng(master_seed: int, snr_index: int, trial_index: int) -> np.random.G
 
 def run_trial(plan: SimPlan, snr_index: int, trial_index: int):
     """One frame, run as the one-trial batch. Returns (frame_error, bit_errors)."""
-    flags, errs = _run_chunk(plan, snr_index, trial_index, 1, 1)
-    return bool(flags[0]), int(errs[0])
+    errs = int(_run_chunk(plan, snr_index, trial_index, 1, 1)[0])
+    return errs > 0, errs
 
 
 def batch_size(plan: SimPlan) -> int:
     """Frames per lockstep batch: as many as fit ``LOCKSTEP_ROWS`` live paths, at least one."""
-    return max(1, LOCKSTEP_ROWS // min(plan.decoder.budget(plan.code.m), 1 << plan.code.K))
+    return max(1, LOCKSTEP_ROWS // plan.decoder.paths_per_frame(plan.code))
 
 
 def _run_chunk(plan: SimPlan, snr_index: int, start: int, count: int, stop_at: int):
-    """Run ``count`` trials from ``start``, or up to the one that makes ``stop_at`` errors.
+    """Bit errors of ``count`` trials from ``start``, or up to the ``stop_at``-th frame error.
 
     Trials are decoded in lockstep batches of at most ``batch_size(plan)``
     frames and at most the errors still missing, so the batch that makes the
@@ -155,12 +156,7 @@ def _run_chunk(plan: SimPlan, snr_index: int, start: int, count: int, stop_at: i
         errs[done : done + b] = np.count_nonzero(d_hat != d, axis=1)
         found += int(np.count_nonzero(errs[done : done + b]))
         done += b
-    return errs[:done] > 0, errs[:done]
-
-
-def _chunk_grid(max_trials: int):
-    starts = list(range(0, max_trials, TRIALS_PER_CHUNK))
-    return [(s, min(TRIALS_PER_CHUNK, max_trials - s)) for s in starts]
+    return errs[:done]
 
 
 class _RunInline:
@@ -197,9 +193,10 @@ def run_point(plan: SimPlan, snr_index: int, workers: int = 1, executor=None) ->
     submit = _RunInline if pool is None else pool.submit
     window = 1 if pool is None else workers + 1
     target = plan.min_frame_errors
-    chunks = iter(_chunk_grid(plan.max_trials))
+    chunks = ((s, min(TRIALS_PER_CHUNK, plan.max_trials - s))
+              for s in range(0, plan.max_trials, TRIALS_PER_CHUNK))
     pending = deque()
-    flags_parts, errs_parts = [], []
+    parts = []
     collected_errors = 0
     try:
         while collected_errors < target:
@@ -208,32 +205,27 @@ def run_point(plan: SimPlan, snr_index: int, workers: int = 1, executor=None) ->
                                       target - collected_errors))
             if not pending:
                 break
-            f, e = pending.popleft().result()
-            flags_parts.append(f)
-            errs_parts.append(e)
-            collected_errors += int(f.sum())
+            parts.append(pending.popleft().result())
+            collected_errors += int(np.count_nonzero(parts[-1]))
     finally:
         for fut in pending:
             fut.cancel()
         if own:
             pool.shutdown(wait=False, cancel_futures=True)
 
-    flags = np.concatenate(flags_parts)
-    errs = np.concatenate(errs_parts)
-    cum = np.cumsum(flags)
-    if cum.size and cum[-1] >= target:
-        trials = int(np.argmax(cum >= target)) + 1
-    else:
-        trials = flags.size
-    frame_errors = int(cum[trials - 1]) if trials else 0
+    errs = np.concatenate(parts)
+    cum = np.cumsum(errs > 0)
+    # every chunk runs at least one trial; stop at the one that meets the target, if any
+    trials = int(np.argmax(cum >= target)) + 1 if cum[-1] >= target else errs.size
+    frame_errors = int(cum[trials - 1])
     bit_errors = int(errs[:trials].sum())
     return FerPoint(
         ebno_db=plan.snr_points[snr_index],
         trials=trials,
         frame_errors=frame_errors,
         bit_errors=bit_errors,
-        fer=frame_errors / trials if trials else 0.0,
-        ber=bit_errors / (trials * plan.code.K) if trials else 0.0,
+        fer=frame_errors / trials,
+        ber=bit_errors / (trials * plan.code.K),
         wall_time=time.perf_counter() - t0,
     )
 

@@ -86,6 +86,14 @@ class TestDecodeCommand:
         assert rc == 2
         assert out == "" and "finite" in err
 
+    def test_llrs_past_the_bound_are_usage_errors(self, capsys):
+        # 1e308 is finite, but sums of eight such LLRs overflow inside the decoder
+        rc = cli.main(["decode", "--n", "3", "--k", "4", "--gen", "0o3",
+                       "--llr=1e308,4,-4,4,4,4,-4,4"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == "" and "finite" in err
+
     @pytest.mark.parametrize("llr_flags", [(), ("--llr=1,1,1,1,1,1,1,1", "--llr-file", "x.txt")],
                              ids=["neither", "both"])
     def test_llrs_from_exactly_one_flag(self, llr_flags, capsys):

@@ -87,6 +87,13 @@ class TestDecoderConfig:
         assert DecoderConfig("global", 8).budget(m=4) == 8
         assert DecoderConfig("local", 8).budget(m=4) == 128
 
+    def test_paths_per_frame(self):
+        # the budget, or every message when the code has fewer
+        code = PacCode.rm(3, 4, 0o133)  # m = 6, 16 messages
+        assert DecoderConfig("global", 8).paths_per_frame(code) == 8
+        assert DecoderConfig("local", 1).paths_per_frame(code) == 16
+        assert PathSet(np.ones((3, 8)), code, DecoderConfig("local", 1)).per_frame == 16
+
 
 class TestHardDecision:
     def test_examples(self):
@@ -298,7 +305,7 @@ class TestDecode:
             for t in range(code.N):
                 lam = sc.update_llrs(t)[0]
                 total += branch_metric(lam, int(res.u_hat[t]), mode)
-                sc.update_partial_sums(t, int(res.u_hat[t]))
+                sc.update_partial_sums(int(res.u_hat[t]))
             assert res.metric == pytest.approx(total, abs=1e-9)
 
     def test_winner_u_is_conv_of_v(self, rng):
@@ -463,7 +470,7 @@ class TestDecode:
             total = 0.0
             for t in range(code.N):
                 total += branch_metric(sc.update_llrs(t)[0], int(res.u_hat[t]), mode)
-                sc.update_partial_sums(t, int(res.u_hat[t]))
+                sc.update_partial_sums(int(res.u_hat[t]))
             assert res.metric == pytest.approx(total, rel=1e-12, abs=1e-9)
 
     def test_rejects_wrong_llr_length(self):
@@ -478,6 +485,42 @@ class TestDecode:
         for cfg in ALL_CONFIGS:
             with pytest.raises(ValueError, match="finite"):
                 decode(np.full(code.N, bad), code, cfg)
+
+    # the channel LLR bound on PAC(128,64), float max / N^2, and the power of two below it
+    BOUND = np.finfo(float).max / 128**2
+    SCALE = 2.0 ** (np.frexp(BOUND)[1] - 1)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
+    def test_llrs_at_the_bound_decode_as_small_ones(self, rng):
+        # min-sum with the approximate metric is scale-invariant: frames scaled by a power
+        # of two up to the bound decode to the same messages, with metrics scaled exactly
+        # (a sign product a*b inside f_minsum may overflow; only its sign is read)
+        code = PacCode.rm(7, 64, 0o133)
+        llrs = np.stack([make_trial(code, 2.0, rng)[1] for _ in range(40)])
+        llrs /= np.abs(llrs).max(axis=1, keepdims=True)
+        for cfg in (DecoderConfig("global", 8), DecoderConfig("local", 2)):
+            small, large = decode(llrs, code, cfg), decode(llrs * self.SCALE, code, cfg)
+            assert np.array_equal(large.d_hat, small.d_hat)
+            assert np.array_equal(large.metric, small.metric * self.SCALE)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
+    @pytest.mark.parametrize("metric", ["approximate", "exact"])
+    @pytest.mark.parametrize("combining", ["min-sum", "exact"])
+    def test_noiseless_frames_at_the_bound(self, metric, combining, rng):
+        code = PacCode.rm(7, 64, 0o133)
+        d = rng.integers(0, 2, (4, code.K), dtype=np.int8)
+        llrs = (1.0 - 2.0 * pac_encode(d, code)) * self.SCALE
+        res = decode(llrs, code, DecoderConfig("global", 8, metric, combining))
+        assert np.array_equal(res.d_hat, d) and np.isfinite(res.metric).all()
+
+    def test_rejects_llrs_past_the_bound(self):
+        # past float max / N^2 the SC sums and path metrics could overflow
+        code = PacCode.rm(7, 64, 0o133)
+        llrs = np.ones((2, code.N))
+        llrs[1, 5] = -2 * self.BOUND
+        for cfg in ALL_CONFIGS:
+            with pytest.raises(ValueError, match="finite"):
+                decode(llrs, code, cfg)
 
 
 def node_codes():

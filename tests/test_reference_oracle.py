@@ -111,7 +111,7 @@ class TestProbabilityDomain:
                 mu = np.empty(8)
                 for t in range(8):
                     mu[t] = branch_metric(sc.update_llrs(t)[0], int(u[t]), "exact")
-                    sc.update_partial_sums(t, int(u[t]))
+                    sc.update_partial_sums(int(u[t]))
                 assert np.allclose(mu, neglogp, rtol=1e-12, atol=1e-9)
                 lam = forced_transcript(llrs, u, rule="exact")
                 assert np.allclose(np.logaddexp(0.0, -(1.0 - 2.0 * u) * lam), neglogp,
@@ -124,7 +124,7 @@ class TestProbabilityDomain:
         # at N = 2 bit 0 reads f(a, b) and bit 1 reads g(a, b, u0): each charges -log P(u_t | past, y)
         sc = ScBank([a, b], combining="exact")
         lam0 = sc.update_llrs(0)[0]
-        sc.update_partial_sums(0, u0)
+        sc.update_partial_sums(u0)
         lam1 = sc.update_llrs(1)[0]
         mu = [branch_metric(lam0, u0, "exact"), branch_metric(lam1, u1, "exact")]
         assert np.allclose(mu, chain_rule_neglogp([a, b], [u0, u1]), rtol=1e-12, atol=1e-12)

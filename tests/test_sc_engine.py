@@ -76,7 +76,7 @@ class TestCombiners:
         for u, expect in ((0, 5.0), (1, 1.0)):
             sc = ScBank([2.0, 3.0])
             sc.update_llrs(0)
-            sc.update_partial_sums(0, u)
+            sc.update_partial_sums(u)
             assert sc.update_llrs(1)[0] == expect
 
 
@@ -91,11 +91,11 @@ class TestScratchSmall:
     def test_n2_second_bit_is_g(self):
         sc = ScBank([1.8, -0.7])
         sc.update_llrs(0)
-        sc.update_partial_sums(0, 0)
+        sc.update_partial_sums(0)
         assert sc.update_llrs(1)[0] == pytest.approx(1.8 + (-0.7))
         sc2 = ScBank([1.8, -0.7])
         sc2.update_llrs(0)
-        sc2.update_partial_sums(0, 1)
+        sc2.update_partial_sums(1)
         assert sc2.update_llrs(1)[0] == pytest.approx(-0.7 - 1.8)
 
     def test_n1_degenerate(self):
@@ -114,6 +114,12 @@ class TestScratchSmall:
             with pytest.raises(ValueError, match="finite"):
                 ScBank(llrs)
 
+    def test_rejects_llrs_past_the_bound(self):
+        bound = np.finfo(float).max / 8**2
+        assert ScBank(np.full(8, -bound)).channel[0] == -bound
+        with pytest.raises(ValueError, match="finite"):
+            ScBank([1.0, 2 * bound, -2.0, 0.5, 1.0, 1.0, 1.0, 1.0])
+
 
 class TestPartialSumDuality:
     @pytest.mark.parametrize("N", [2, 4, 8, 64])
@@ -124,7 +130,7 @@ class TestPartialSumDuality:
         sc = ScBank(rng.normal(0, 1, N))
         for t in range(N):
             sc.update_llrs(t)
-            sc.update_partial_sums(t, int(u[t]))
+            sc.update_partial_sums(int(u[t]))
         for s in range(sc.n):
             w = 1 << s
             assert np.array_equal(sc.beta[0, w - 1 : 2 * w - 1], polar_transform(u[N - 2 * w : N - w]))
@@ -142,20 +148,20 @@ class TestPartialSumDuality:
                 w = t & -t
                 assert np.array_equal(sc.beta[0, w - 1 : 2 * w - 1], polar_transform(u[t - w : t]))
             sc.update_llrs(t)
-            sc.update_partial_sums(t, int(u[t]))
+            sc.update_partial_sums(int(u[t]))
 
     def test_all_zero_commits(self):
         sc = ScBank(np.ones(8))
         for t in range(8):
             sc.update_llrs(t)
-            sc.update_partial_sums(t, 0)
+            sc.update_partial_sums(0)
         assert not sc.beta.any()
 
     def test_n4_unit_vector(self, rng):
         sc = ScBank(rng.normal(0, 1, 4))
         for t, u in enumerate([1, 0, 0, 0]):
             sc.update_llrs(t)
-            sc.update_partial_sums(t, u)
+            sc.update_partial_sums(u)
         # stage 0 holds u2, stage 1 polar(u0, u1) = (1, 0)
         assert np.array_equal(sc.beta[0], [0, 1, 0])
         assert np.array_equal(stage_n_sums(sc.beta[0], 0), [1, 0, 0, 0])
@@ -170,28 +176,28 @@ class TestCallOrderContract:
     def test_skip_commit(self):
         sc = ScBank(np.ones(4))
         sc.update_llrs(0)
-        sc.update_partial_sums(0, 0)
+        sc.update_partial_sums(0)
         with pytest.raises(ContractViolationError):
             sc.update_llrs(2)
 
     def test_double_commit(self):
         sc = ScBank(np.ones(4))
         sc.update_llrs(0)
-        sc.update_partial_sums(0, 0)
+        sc.update_partial_sums(0)
         with pytest.raises(ContractViolationError):
-            sc.update_partial_sums(0, 0)
+            sc.update_partial_sums(0)
 
     def test_commit_before_llrs(self):
         sc = ScBank(np.ones(4))
         with pytest.raises(ContractViolationError):
-            sc.update_partial_sums(0, 0)
+            sc.update_partial_sums(0)
 
     @pytest.mark.parametrize("N", [1, 4])
     def test_no_bit_past_the_last(self, N):
         sc = ScBank(np.arange(1.0, N + 1.0))
         for t in range(N):
             sc.update_llrs(t)
-            sc.update_partial_sums(t, 0)
+            sc.update_partial_sums(0)
         with pytest.raises(ContractViolationError, match="committed"):
             sc.update_llrs(N)
 
@@ -225,30 +231,28 @@ class TestNodeUpdates:
                     assert alpha.shape == (1, w) and np.array_equal(alpha[0], expect)
                 else:
                     assert np.array_equal(alpha, lam)
-                node.update_partial_sums(t, polar_transform(u[t : t + w])[None, :] if s else u[t])
-                bits.update_partial_sums(t, u[t])
+                node.update_partial_sums(polar_transform(u[t : t + w])[None, :] if s else u[t])
+                bits.update_partial_sums(u[t])
                 for b in range(t + 1, t + w):
                     bits.update_llrs(b)
-                    bits.update_partial_sums(b, u[b])
+                    bits.update_partial_sums(u[b])
 
     def test_node_contract(self):
         sc = ScBank(np.ones(16))
         with pytest.raises(ContractViolationError, match="cannot start"):
             sc.update_llrs(0, 5)  # wider than the code
         sc.update_llrs(0, 1)
-        sc.update_partial_sums(0, np.zeros((1, 2), dtype=np.int8))
+        sc.update_partial_sums(np.zeros((1, 2), dtype=np.int8))
         with pytest.raises(ContractViolationError, match="cannot start"):
             sc.update_llrs(2, 2)  # a 4-bit node starts at a multiple of 4
         with pytest.raises(ContractViolationError, match="out of order"):
             sc.update_llrs(1)  # the 2-bit node committed bits 0 and 1
         sc.update_llrs(2, 1)
-        with pytest.raises(ContractViolationError, match="already committed"):
-            sc.update_partial_sums(0, 0)
-        sc.update_partial_sums(2, np.zeros((1, 2), dtype=np.int8))
+        sc.update_partial_sums(np.zeros((1, 2), dtype=np.int8))
         sc.update_llrs(4, 2)
-        sc.update_partial_sums(4, np.zeros((1, 4), dtype=np.int8))
+        sc.update_partial_sums(np.zeros((1, 4), dtype=np.int8))
         sc.update_llrs(8, 3)
-        sc.update_partial_sums(8, np.zeros((1, 8), dtype=np.int8))
+        sc.update_partial_sums(np.zeros((1, 8), dtype=np.int8))
         with pytest.raises(ContractViolationError, match="committed"):
             sc.update_llrs(16)
 
@@ -259,20 +263,20 @@ class TestBankBatching:
         bank = ScBank(llrs)
         bank.update_llrs(0)
         bank.take(np.array([0, 0]))
-        bank.update_partial_sums(0, np.array([0, 1], dtype=np.int8))
+        bank.update_partial_sums(np.array([0, 1], dtype=np.int8))
         lam = bank.update_llrs(1)
         # row decisions diverge exactly as two independent scratches would
         for row, u0 in enumerate([0, 1]):
             sc = ScBank(llrs)
             sc.update_llrs(0)
-            sc.update_partial_sums(0, u0)
+            sc.update_partial_sums(u0)
             assert lam[row] == sc.update_llrs(1)[0]
 
     def test_take_reorders_rows(self, rng):
         bank = ScBank(rng.normal(0, 1, 4))
         bank.update_llrs(0)
         bank.take(np.array([0, 0]))
-        bank.update_partial_sums(0, np.array([0, 1], dtype=np.int8))
+        bank.update_partial_sums(np.array([0, 1], dtype=np.int8))
         before = bank.beta.copy()
         bank.take(np.array([1, 0]))
         assert np.array_equal(bank.beta, before[[1, 0]])
@@ -305,7 +309,7 @@ class TestBankBatching:
         for t, rows in enumerate(([0, 0], [1, 0, 1], [2, 1, 0, 0], [3, 2], [0, 1, 1])):
             bank.update_llrs(t)
             bank.take(np.array(rows))
-            bank.update_partial_sums(t, rng.integers(0, 2, len(rows)).astype(np.int8))
+            bank.update_partial_sums(rng.integers(0, 2, len(rows)).astype(np.int8))
             assert bank.llr.shape == (len(rows), 15)
         assert np.array_equal(bank.channel, llrs)
         assert bank.channel.shape == (16,) and not bank.channel.flags.writeable
@@ -321,7 +325,7 @@ class TestBankBatching:
             lam = bank.update_llrs(t)
             bit = int(lam[0] <= 0)
             out.append(bit)
-            bank.update_partial_sums(t, np.array([bit], dtype=np.int8))
+            bank.update_partial_sums(np.array([bit], dtype=np.int8))
         assert np.array_equal(out, u)
 
     @pytest.mark.parametrize("combining", ["min-sum", "exact"])
@@ -345,12 +349,12 @@ class TestBankBatching:
                 keep = [k[: min(map(len, keep))] for k in keep]
                 batch.take(np.concatenate([f * per + k for f, k in enumerate(keep)]))
                 x = rng.integers(0, 2, (batch.n_paths, w), dtype=np.int8)
-                batch.update_partial_sums(t, x if s else x[:, 0])
+                batch.update_partial_sums(x if s else x[:, 0])
                 rows = len(keep[0])
                 for f, (bank, k) in enumerate(zip(alone, keep)):
                     bank.take(k)
                     xf = x[f * rows : (f + 1) * rows]
-                    bank.update_partial_sums(t, xf if s else xf[:, 0])
+                    bank.update_partial_sums(xf if s else xf[:, 0])
                     assert np.array_equal(batch.llr[f * rows : (f + 1) * rows], bank.llr)
                     assert np.array_equal(batch.beta[f * rows : (f + 1) * rows], bank.beta)
 

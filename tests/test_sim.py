@@ -1,3 +1,4 @@
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -78,6 +79,20 @@ class TestRunPoint:
         # the stopping trial itself is an error
         err, _ = run_trial(plan, 0, point.trials - 1)
         assert err
+
+    def test_point_builds_no_chunk_list(self):
+        # chunk bounds are made as the loop consumes them: a point met in its first chunk
+        # allocates nothing in proportion to max_trials (500,000 bounds here)
+        plan = small_plan(code=PacCode.rm(3, 4, 0o3), snr_points=(0.0,), min_frame_errors=5,
+                          max_trials=10**8)
+        tracemalloc.start()
+        try:
+            point = run_point(plan, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert point.frame_errors == 5 and point.trials <= sim.TRIALS_PER_CHUNK
+        assert peak < 4 << 20
 
     @pytest.mark.parametrize("snr, min_errors", [(2.0, 15), (0.0, 5), (30.0, 1)])
     def test_serial_decodes_only_reported_trials(self, monkeypatch, snr, min_errors):

@@ -1,6 +1,7 @@
 """The package's public surface: every exported name exists, test-only code stays out, and
 the names the benchmark's tracer wraps resolve."""
 
+import ast
 import importlib
 import importlib.util
 from collections import defaultdict
@@ -36,6 +37,16 @@ def test_module_exports_resolve(name):
 def test_package_exports_resolve():
     for attr in pactrellis.__all__:
         assert hasattr(pactrellis, attr), f"pactrellis.__all__ names missing {attr!r}"
+
+
+def test_no_module_imports_another_modules_private_name():
+    # what one module needs of another is public: listed in that module's __all__
+    for path in sorted(Path(pactrellis.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("pactrellis")):
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, f"{path.name} imports {private} from {node.module}"
 
 
 def test_reference_oracle_is_not_shipped():
