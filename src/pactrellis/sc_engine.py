@@ -74,9 +74,9 @@ class ScBank:
     magnitude (path metrics reach N^2 times it).  They are kept once, in the
     read-only array ``channel``, as given; each row holds N - 1 intermediate
     LLRs (``llr``) and N - 1 partial sums (``beta``), both in the per-stage
-    layout of the module docstring.  The bank starts with one row per frame; its rows are
-    grouped by frame, and every frame holds the same number of them.  Updates
-    follow the standard in-order schedule:
+    layout of the module docstring.  The bank starts with one row per frame;
+    its rows are grouped by frame, and every frame holds the same number of
+    them.  Updates follow the standard in-order schedule:
     ``update_llrs(t, s)`` then ``update_partial_sums(x)`` for nodes that
     tile 0 .. N-1 in order, t advancing by each node's width 2^s (s = 0, the
     default, for a bit).  Rows may be gathered with ``take`` (a row may be
