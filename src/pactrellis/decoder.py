@@ -52,7 +52,7 @@ from itertools import accumulate
 import numpy as np
 
 from .pac_core import PacCode, conv_transform, parity_table, polar_transform, rate_profile_insert
-from .sc_engine import COMBINING_RULES, ContractViolationError, ScBank
+from .sc_engine import COMBINING_RULES, ScBank
 
 __all__ = [
     "DECODER_NAMES",
@@ -237,7 +237,6 @@ class PathSet:
         llrs = np.asarray(channel_llrs, dtype=float)
         if llrs.ndim not in (1, 2) or llrs.shape[-1] != code.N:
             raise ValueError(f"expected {code.N} channel LLRs per frame, got shape {llrs.shape}")
-        self.code = code
         self.config = config
         self.per_frame = config.paths_per_frame(code)
         rows = self.per_frame * (llrs.shape[0] if llrs.ndim == 2 else 1)
@@ -261,15 +260,6 @@ class PathSet:
         """Live paths over all frames."""
         return self.metrics.size
 
-    def ranking(self) -> np.ndarray:
-        """Rows best first, frame by frame: smallest metric, then earliest row (a stable sort)."""
-        if self.size == 0:
-            raise ContractViolationError("no surviving paths to select from")
-        order = self.metrics.reshape(self.frames, -1).argsort(kind="stable")
-        if self.frames > 1:
-            order += np.arange(0, self.size, order.shape[1])[:, None]
-        return order.ravel()
-
     def traceback(self, rows) -> np.ndarray:
         """The information bits decided so far along the paths that end in ``rows``.
 
@@ -290,14 +280,14 @@ class PathSet:
         return np.array(paths, dtype=np.int8).reshape(*rows.shape, self.decided)
 
 
-def _node_llrs(paths: PathSet, t: int, stage: int):
-    """z = (2X - 1) alpha over the node of 2^stage bits at t, and X, both (paths, 2^stage).
+def _node_llrs(paths: PathSet, stage: int):
+    """z = (2X - 1) alpha over the bank's next node, of 2^stage bits, and X, both (paths, 2^stage).
 
     alpha is the node's LLR block and X the partial sums of its v = 0
     extension, looked up by each path's register state on entry.  A bit
     (stage 0) gives one value per path: its z and its u.
     """
-    alpha = paths.bank.update_llrs(t, stage)
+    alpha = paths.bank.update_llrs(stage)
     x, sign, _ = paths._tables[stage]
     states = paths.states
     head = x.shape[-1]
@@ -316,13 +306,13 @@ def _node_sum(penalties):
     return penalties if penalties.ndim == 1 else penalties.sum(axis=1)
 
 
-def extend_frozen(paths: PathSet, t: int, stage: int = 0) -> PathSet:
-    """Rate-0 step: extend every path with v = 0 over the 2^stage bits from t.
+def extend_frozen(paths: PathSet, stage: int = 0) -> PathSet:
+    """Rate-0 step: extend every path with v = 0 over the next 2^stage bits.
 
     Charges each path its node sum, shifts its register state by the node
     width and commits the node's partial sums.
     """
-    z, x = _node_llrs(paths, t, stage)
+    z, x = _node_llrs(paths, stage)
     paths.metrics += _node_sum(paths._phi(0.0, z))
     paths.states >>= paths._tables[stage][2]
     paths.bank.update_partial_sums(x)
@@ -337,8 +327,8 @@ def _children(v0, v1, frames: int):
     return np.concatenate((v0.reshape(shape), v1.reshape(shape)), axis=1).reshape(-1, *v0.shape[1:])
 
 
-def extend_info(paths: PathSet, t: int, stage: int = 0, observer=None) -> PathSet:
-    """REP step: over the 2^stage bits from t, frozen but the last, split every path in two.
+def extend_info(paths: PathSet, stage: int = 0, observer=None) -> PathSet:
+    """REP step: over the next 2^stage bits, frozen but the last, split every path in two.
 
     The children take v = 0 and v = 1 at the node's information bit, its
     last; both extend from the parent's register state on entry, and the
@@ -350,7 +340,7 @@ def extend_info(paths: PathSet, t: int, stage: int = 0, observer=None) -> PathSe
     """
     frames = paths.frames
     per = paths.size // frames  # parents per frame
-    z, x = _node_llrs(paths, t, stage)
+    z, x = _node_llrs(paths, stage)
     shifted = paths.states >> paths._tables[stage][2]
     paths.states = _children(shifted, shifted | paths._high, frames)
     paths.metrics = _children(paths.metrics, paths.metrics, frames) + _node_sum(
@@ -430,14 +420,16 @@ def decode(channel_llrs, code: PacCode, config: DecoderConfig,
     """Run the configured trellis decoder over one block of channel LLRs, or a batch of them.
 
     Decoding starts from a single zero-state, zero-metric path and walks the
-    code's node schedule (``node_schedule``) over t = 0 .. N-1, one step per
-    node: a Rate-0 node extends every path, and a REP node splits every path
-    at its information bit and selects survivors.  A matched pair of rules
-    (see ``DecoderConfig.node_steps``) takes K steps when every frozen bit
-    lies in a REP node, as on the Reed-Muller profile; other pairs take N.
+    code's node schedule (``node_schedule``), one step per node, each at the
+    bank's next undecided bit (``ScBank.t``): a Rate-0 node extends every
+    path, and a REP node splits every path at its information bit and
+    selects survivors.  A matched pair of rules (``DecoderConfig.node_steps``)
+    takes K steps when every frozen bit lies in a REP node, as on the
+    Reed-Muller profile; other pairs take N.
     Returns the winner's message bits (read back by traceback), its v and
-    u = conv(v, g), and its final metric.  The winner has the smallest
-    metric, a tie going to the earlier row, the older path.
+    u = conv(v, g), and its final metric.  The winner is each frame's first
+    smallest metric (an argmin), so a tie goes to the earlier row, the older
+    path; ``survivor_metrics`` are each frame's final metrics, sorted.
 
     ``channel_llrs`` of shape (frames, N) decodes every row as its own frame,
     all in lockstep through the same steps; each frame's result is
@@ -449,22 +441,21 @@ def decode(channel_llrs, code: PacCode, config: DecoderConfig,
     see t as the last bit of the step's node, and every frame's rows.
     """
     paths = PathSet(channel_llrs, code, config)
-    t = 0
     for stage, info in paths.steps:
-        last = t + (1 << stage) - 1
+        last = paths.bank.t + (1 << stage) - 1
         if info:
-            extend_info(paths, t, stage, partial(prune_observer, last) if prune_observer else None)
+            extend_info(paths, stage, partial(prune_observer, last) if prune_observer else None)
         else:
-            extend_frozen(paths, t, stage)
+            extend_frozen(paths, stage)
         if step_hook is not None:
             step_hook(last, paths)
-        t = last + 1
-    order = paths.ranking().reshape(paths.frames, -1)
-    win = order[:, 0]
+    metrics = paths.metrics.reshape(paths.frames, -1)
+    # each frame's first minimum: a tie goes to the earlier row
+    win = metrics.argmin(axis=1) + np.arange(0, paths.size, metrics.shape[1])
     d_hat = paths.traceback(win)
     v_hat = rate_profile_insert(d_hat, code.A, code.N)
     u_hat = conv_transform(v_hat, code.g)
-    metric, survivors = paths.metrics[win], paths.metrics[order]
+    metric, survivors = paths.metrics[win], np.sort(metrics, kind="stable")
     if paths.bank.channel.ndim == 1:  # one frame, given as one: no frame axis
         return DecodeResult(d_hat[0], float(metric[0]), v_hat[0], u_hat[0], survivors[0])
     return DecodeResult(d_hat, metric, v_hat, u_hat, survivors)

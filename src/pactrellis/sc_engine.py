@@ -13,10 +13,10 @@ stage whose bit is clear.  No later bit reads the sums of bit N-1, so its
 commit folds nothing.
 
 The unit of both updates is a node: an aligned block of 2^s bits, decided in
-one step at stage s (a bit is the node at stage 0).  Its LLR update stops the
-f-recursion at stage s and yields the node's block of 2^s LLRs; its commit
-writes the node's 2^s partial sums as that stage's block and folds upward from
-there as a bit's commit does.
+one step at stage s (a bit is the node at stage 0).  Nodes come in bit order, so
+the bank keeps the position.  A node's LLR update stops the f-recursion at stage
+s and yields its 2^s LLRs; its commit writes its 2^s partial sums as that
+stage's block and folds upward from there as a bit's commit does.
 
 ``ScBank`` holds one scratch row per decoder path and applies every update to
 all rows at once.  It may hold several frames, each with its own channel LLRs
@@ -77,10 +77,11 @@ class ScBank:
     layout of the module docstring.  The bank starts with one row per frame;
     its rows are grouped by frame, and every frame holds the same number of
     them.  Updates follow the standard in-order schedule:
-    ``update_llrs(t, s)`` then ``update_partial_sums(x)`` for nodes that
-    tile 0 .. N-1 in order, t advancing by each node's width 2^s (s = 0, the
-    default, for a bit).  Rows may be gathered with ``take`` (a row may be
-    taken more than once) between the two calls.
+    ``update_llrs(s)`` then ``update_partial_sums(x)`` for nodes that tile
+    0 .. N-1 in order (s = 0, the default, for a bit).  The bank owns the
+    position: a node starts at ``t``, the next undecided bit, and its commit
+    advances ``t`` by the node's width 2^s.  Rows may be gathered with
+    ``take`` (a row may be taken more than once) between the two calls.
     ``capacity`` reserves room for that many rows, over all frames, so that
     gathers within it allocate nothing (fresh arrays at every information bit
     cost page faults under glibc's default malloc settings).
@@ -113,8 +114,7 @@ class ScBank:
         self.llr, self.beta = self._llr_buf[0, :frames], self._beta_buf[0, :frames]
         self.llr[:] = 0.0
         self.beta[:] = 0
-        # _t: next undecided bit index; _pending: update_llrs done, commit outstanding,
-        # for the node of 2^_stage bits at _t
+        # _pending: update_llrs done, commit outstanding, for the node of 2^_stage bits at _t
         self._t = 0
         self._pending = False
         self._stage = 0
@@ -123,22 +123,24 @@ class ScBank:
     def n_paths(self) -> int:
         return self.llr.shape[0]
 
-    def update_llrs(self, t: int, stage: int = 0) -> np.ndarray:
-        """Recompute the factor-graph nodes down to the node of 2^stage bits at t; return its LLRs.
+    @property
+    def t(self) -> int:
+        """The next undecided bit: where the next ``update_llrs`` node starts (N once all are)."""
+        return self._t
+
+    def update_llrs(self, stage: int = 0) -> np.ndarray:
+        """Recompute the factor-graph nodes down to the 2^stage-bit node at ``t``; return its LLRs.
 
         A node of stage s >= 1 returns its LLR block, (paths, 2^s); a bit
         (stage 0) returns its decision LLRs, one per path.  The node must
         start at a multiple of its width.  The result is a view, valid until
         the next ``update_llrs`` or ``take``.
         """
-        width = 1 << stage
-        if self._pending or t != self._t or t >= self.N:
-            expected = (f"next expected bit is {self._t}" if self._t < self.N
-                        else f"all {self.N} bits are committed")
-            raise ContractViolationError(
-                f"update_llrs({t}) out of order: {expected}"
-                + (" (pending commit)" if self._pending else "")
-            )
+        t, width = self._t, 1 << stage
+        if self._pending:
+            raise ContractViolationError(f"update_llrs: the node at bit {t} awaits its commit")
+        if t >= self.N:
+            raise ContractViolationError(f"update_llrs: all {self.N} bits are committed")
         if t % width or t + width > self.N:
             raise ContractViolationError(
                 f"a node of {width} bits cannot start at bit {t} of {self.N}")
@@ -182,7 +184,7 @@ class ScBank:
         """
         if not self._pending:
             raise ContractViolationError(
-                f"update_partial_sums requires update_llrs({self._t}) first")
+                f"update_partial_sums at bit {self._t} requires update_llrs first")
         # the node's last bit closes a right block at each stage from the
         # node's up to top (its trailing one bits); each folds into that
         # stage's left block, filling the merged block from its right end, and

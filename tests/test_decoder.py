@@ -25,7 +25,7 @@ from pactrellis.pac_core import (
     polar_transform,
     rate_profile_insert,
 )
-from pactrellis.sc_engine import ContractViolationError, ScBank
+from pactrellis.sc_engine import ScBank
 
 
 def noiseless_llrs(code, d, mag=60.0):
@@ -152,7 +152,7 @@ class TestExtendFrozen:
     def test_agreeing_llr_is_free(self):
         code = PacCode(n=1, K=1, A=(1,), g=(1, 1))
         ps = PathSet(np.array([3.0, 5.0]), code, DecoderConfig())
-        extend_frozen(ps, 0)  # decision LLR f(3,5) = +3, u = 0 matches
+        extend_frozen(ps)  # decision LLR f(3,5) = +3, u = 0 matches
         assert ps.metrics[0] == 0.0
         # stage 0 holds the committed u of bit 0; a frozen bit records no backpointer (v = 0)
         assert ps.bank.beta[0, 0] == 0 and ps.decided == 0
@@ -161,18 +161,18 @@ class TestExtendFrozen:
         code = PacCode(n=1, K=1, A=(1,), g=(1, 1))
         ps = PathSet(np.array([3.0, 5.0]), code, DecoderConfig())
         ps.states[0] = 1  # feedback tap forces u = 1 against lambda = +3
-        extend_frozen(ps, 0)
+        extend_frozen(ps)
         assert ps.metrics[0] == 3.0
         assert ps.bank.beta[0, 0] == 1
 
     def test_path_count_unchanged(self, rng):
         code = PacCode.rm(3, 4, 0o3)
         ps = PathSet(rng.normal(0, 1, 8), code, DecoderConfig("global", 8))
-        extend_info(ps, 0) if 0 in code.A else extend_frozen(ps, 0)
+        extend_info(ps) if 0 in code.A else extend_frozen(ps)
         # t=0,1,2 frozen for this profile; after an info split, counts stay fixed on frozen
         for t in range(0, 3):
             if t > 0:
-                extend_frozen(ps, t)
+                extend_frozen(ps)
             assert ps.size == 1
 
 
@@ -181,7 +181,7 @@ class TestExtendInfo:
         code = PacCode(n=1, K=2, A=(0, 1), g=(1, 1))
         lam0 = -1.25  # f(-1.25, 2.0) would differ; use direct channel at N=2
         ps = PathSet(np.array([-1.25, 2.0]), code, DecoderConfig("global", 4))
-        extend_info(ps, 0)
+        extend_info(ps)
         lam = np.sign(-1.25) * np.sign(2.0) * min(1.25, 2.0)
         assert ps.size == 2
         assert ps.metrics[0] == branch_metric(lam, 0, "approximate")
@@ -195,9 +195,9 @@ class TestExtendInfo:
         ps = PathSet(llrs, code, DecoderConfig("global", 64))
         t0 = code.A[0]
         for t in range(t0):
-            extend_frozen(ps, t)
+            extend_frozen(ps)
         base = ps.metrics.copy()
-        extend_info(ps, t0)
+        extend_info(ps)
         pen = ps.metrics - np.concatenate([base, base])
         P = base.size
         for i in range(P):
@@ -207,7 +207,7 @@ class TestExtendInfo:
     def test_child_states_and_u(self):
         code = PacCode(n=1, K=2, A=(0, 1), g=(1, 1))
         ps = PathSet(np.array([1.0, 1.0]), code, DecoderConfig("global", 4))
-        extend_info(ps, 0)
+        extend_info(ps)
         assert list(ps.states) == [0, 1]
         assert list(ps.bank.beta[:, 0]) == [0, 1]  # committed u of bit 0, per row
         assert [ps.traceback(i)[0] for i in range(ps.size)] == [0, 1]
@@ -250,26 +250,36 @@ class TestPrune:
 
 
 class TestSelectWinner:
-    """The winner rule of ``decode``: the first row of ``PathSet.ranking``."""
+    """The winner rule of ``decode``: each frame's first smallest final metric."""
 
-    def test_single_and_minimum(self):
-        code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
-        ps = build_pathset(code, [3.2], [0])
-        assert ps.metrics[ps.ranking()[0]] == 3.2
-        ps = build_pathset(code, [3.2, 1.1, 7.0], [0, 0, 0])
-        assert ps.metrics[ps.ranking()[0]] == 1.1
+    def test_single_and_minimum(self, rng):
+        code = PacCode.rm(5, 16, 0o133)
+        for cfg in (DecoderConfig("global", 1), DecoderConfig("global", 8), DecoderConfig("local", 2)):
+            llrs = np.stack([make_trial(code, 1.0, rng)[1] for _ in range(3)])
+            res = decode(llrs, code, cfg)
+            assert np.array_equal(res.metric, res.survivor_metrics.min(axis=1))
+            assert np.array_equal(res.survivor_metrics, np.sort(res.survivor_metrics, axis=1))
+            for f in range(3):
+                alone = decode(llrs[f], code, cfg)
+                assert alone.metric == res.metric[f]
+                assert np.array_equal(alone.d_hat, res.d_hat[f])
+        # one path: it is the winner
+        res = decode(llrs[0], code, DecoderConfig("global", 1))
+        assert res.survivor_metrics.shape == (1,) and res.metric == res.survivor_metrics[0]
 
     def test_tie_goes_to_lower_id(self):
-        # a tie goes to the earlier row, the older path
-        code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
-        ps = build_pathset(code, [2.0, 1.1, 1.1], [0, 0, 0])
-        assert list(ps.ranking()) == [1, 2, 0]
-
-    def test_empty_set_is_contract_violation(self):
-        code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
-        ps = build_pathset(code, [], [])
-        with pytest.raises(ContractViolationError):
-            ps.ranking()
+        # with all-zero LLRs every path ties: the winner is the oldest row, all v = 0 choices
+        code = PacCode.rm(5, 16, 0o133)
+        configs = [DecoderConfig("global", 1), DecoderConfig("global", 32), DecoderConfig("local", 1),
+                   DecoderConfig("local", 2), DecoderConfig("global", 8, "exact", "exact"),
+                   DecoderConfig("local", 2, "exact", "min-sum")]
+        for cfg in configs:
+            for llrs in (np.zeros(code.N), np.zeros((3, code.N))):
+                res = decode(llrs, code, cfg)
+                assert not res.d_hat.any()
+                survivors = res.survivor_metrics.reshape(-1, res.survivor_metrics.shape[-1])
+                assert (survivors == survivors[:, :1]).all()
+                assert np.array_equal(np.ravel(res.metric), survivors[:, 0])
 
 
 class TestDecode:
@@ -303,7 +313,7 @@ class TestDecode:
             sc = ScBank(llrs)
             total = 0.0
             for t in range(code.N):
-                lam = sc.update_llrs(t)[0]
+                lam = sc.update_llrs()[0]
                 total += branch_metric(lam, int(res.u_hat[t]), mode)
                 sc.update_partial_sums(int(res.u_hat[t]))
             assert res.metric == pytest.approx(total, abs=1e-9)
@@ -458,6 +468,24 @@ class TestDecode:
         assert len(rows) == len(node_schedule(code)) and max(rows) == cap
         assert cuts
 
+    @pytest.mark.parametrize("gen, cfg, count", [
+        (0o73, DecoderConfig("local", 1), 34),  # LVA32: 32 states, one survivor each
+        (0o133, DecoderConfig("local", 2), 27),  # LVA-128: 64 states, two survivors each
+        (0o133, DecoderConfig("global", 32), 59),  # LD32
+    ], ids=["lva32", "lva128", "ld32"])
+    def test_cuts_depend_only_on_code_and_config(self, gen, cfg, count, rng):
+        # the path count after each step is fixed by the schedule and the budget, so every
+        # frame is cut at the same bits, far fewer than its K = 64 information bits
+        code = PacCode.rm(7, 64, gen)
+        frames = []
+        for _ in range(3):
+            cuts = []
+            decode(make_trial(code, 2.0, rng)[1], code, cfg,
+                   prune_observer=lambda t, states, metrics, keep: cuts.append(t))
+            frames.append(cuts)
+        assert len(frames[0]) == count
+        assert frames[1] == frames[0] == frames[2]
+
     @pytest.mark.parametrize("mode", ["approximate", "exact"])
     @pytest.mark.parametrize("rule", ["min-sum", "exact"])
     def test_metric_equals_forced_path_metric(self, mode, rule, rng):
@@ -469,7 +497,7 @@ class TestDecode:
             sc = ScBank(llrs, combining=rule)
             total = 0.0
             for t in range(code.N):
-                total += branch_metric(sc.update_llrs(t)[0], int(res.u_hat[t]), mode)
+                total += branch_metric(sc.update_llrs()[0], int(res.u_hat[t]), mode)
                 sc.update_partial_sums(int(res.u_hat[t]))
             assert res.metric == pytest.approx(total, rel=1e-12, abs=1e-9)
 

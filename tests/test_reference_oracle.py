@@ -110,7 +110,7 @@ class TestProbabilityDomain:
                 sc = ScBank(llrs, combining="exact")
                 mu = np.empty(8)
                 for t in range(8):
-                    mu[t] = branch_metric(sc.update_llrs(t)[0], int(u[t]), "exact")
+                    mu[t] = branch_metric(sc.update_llrs()[0], int(u[t]), "exact")
                     sc.update_partial_sums(int(u[t]))
                 assert np.allclose(mu, neglogp, rtol=1e-12, atol=1e-9)
                 lam = forced_transcript(llrs, u, rule="exact")
@@ -123,9 +123,9 @@ class TestProbabilityDomain:
     def test_f_and_g_match_chain_rule(self, a, b, u0, u1):
         # at N = 2 bit 0 reads f(a, b) and bit 1 reads g(a, b, u0): each charges -log P(u_t | past, y)
         sc = ScBank([a, b], combining="exact")
-        lam0 = sc.update_llrs(0)[0]
+        lam0 = sc.update_llrs()[0]
         sc.update_partial_sums(u0)
-        lam1 = sc.update_llrs(1)[0]
+        lam1 = sc.update_llrs()[0]
         mu = [branch_metric(lam0, u0, "exact"), branch_metric(lam1, u1, "exact")]
         assert np.allclose(mu, chain_rule_neglogp([a, b], [u0, u1]), rtol=1e-12, atol=1e-12)
         ref = forced_transcript([a, b], [u0, u1], rule="exact")

@@ -75,36 +75,36 @@ class TestCombiners:
         # the g-update of bit 1 at N = 2: b + (1 - 2u) a for channel LLRs (a, b)
         for u, expect in ((0, 5.0), (1, 1.0)):
             sc = ScBank([2.0, 3.0])
-            sc.update_llrs(0)
+            sc.update_llrs()
             sc.update_partial_sums(u)
-            assert sc.update_llrs(1)[0] == expect
+            assert sc.update_llrs()[0] == expect
 
 
 class TestScratchSmall:
     # a fresh bank has one row; decisions are committed as scalars
     def test_n2_first_bit_is_f(self):
         sc = ScBank([1.8, -0.7])
-        lam = sc.update_llrs(0)
+        lam = sc.update_llrs()
         assert lam.shape == (1,)
         assert lam[0] == f_minsum(1.8, -0.7)
 
     def test_n2_second_bit_is_g(self):
         sc = ScBank([1.8, -0.7])
-        sc.update_llrs(0)
+        sc.update_llrs()
         sc.update_partial_sums(0)
-        assert sc.update_llrs(1)[0] == pytest.approx(1.8 + (-0.7))
+        assert sc.update_llrs()[0] == pytest.approx(1.8 + (-0.7))
         sc2 = ScBank([1.8, -0.7])
-        sc2.update_llrs(0)
+        sc2.update_llrs()
         sc2.update_partial_sums(1)
-        assert sc2.update_llrs(1)[0] == pytest.approx(-0.7 - 1.8)
+        assert sc2.update_llrs()[0] == pytest.approx(-0.7 - 1.8)
 
     def test_n1_degenerate(self):
         sc = ScBank([2.25])
-        assert sc.update_llrs(0)[0] == 2.25
+        assert sc.update_llrs()[0] == 2.25
 
     def test_exact_combining_selectable(self):
         sc = ScBank([1.0, 2.0], combining="exact")
-        assert sc.update_llrs(0)[0] == pytest.approx(
+        assert sc.update_llrs()[0] == pytest.approx(
             2 * math.atanh(math.tanh(0.5) * math.tanh(1.0))
         )
 
@@ -129,7 +129,7 @@ class TestPartialSumDuality:
         u = rng.integers(0, 2, N, dtype=np.int8)
         sc = ScBank(rng.normal(0, 1, N))
         for t in range(N):
-            sc.update_llrs(t)
+            sc.update_llrs()
             sc.update_partial_sums(int(u[t]))
         for s in range(sc.n):
             w = 1 << s
@@ -147,20 +147,20 @@ class TestPartialSumDuality:
             if t:
                 w = t & -t
                 assert np.array_equal(sc.beta[0, w - 1 : 2 * w - 1], polar_transform(u[t - w : t]))
-            sc.update_llrs(t)
+            sc.update_llrs()
             sc.update_partial_sums(int(u[t]))
 
     def test_all_zero_commits(self):
         sc = ScBank(np.ones(8))
         for t in range(8):
-            sc.update_llrs(t)
+            sc.update_llrs()
             sc.update_partial_sums(0)
         assert not sc.beta.any()
 
     def test_n4_unit_vector(self, rng):
         sc = ScBank(rng.normal(0, 1, 4))
         for t, u in enumerate([1, 0, 0, 0]):
-            sc.update_llrs(t)
+            sc.update_llrs()
             sc.update_partial_sums(u)
         # stage 0 holds u2, stage 1 polar(u0, u1) = (1, 0)
         assert np.array_equal(sc.beta[0], [0, 1, 0])
@@ -168,21 +168,15 @@ class TestPartialSumDuality:
 
 
 class TestCallOrderContract:
-    def test_out_of_order_llr_update(self):
-        sc = ScBank(np.ones(4))
-        with pytest.raises(ContractViolationError):
-            sc.update_llrs(1)
-
     def test_skip_commit(self):
         sc = ScBank(np.ones(4))
-        sc.update_llrs(0)
-        sc.update_partial_sums(0)
-        with pytest.raises(ContractViolationError):
-            sc.update_llrs(2)
+        sc.update_llrs()
+        with pytest.raises(ContractViolationError, match="awaits its commit"):
+            sc.update_llrs()
 
     def test_double_commit(self):
         sc = ScBank(np.ones(4))
-        sc.update_llrs(0)
+        sc.update_llrs()
         sc.update_partial_sums(0)
         with pytest.raises(ContractViolationError):
             sc.update_partial_sums(0)
@@ -196,10 +190,10 @@ class TestCallOrderContract:
     def test_no_bit_past_the_last(self, N):
         sc = ScBank(np.arange(1.0, N + 1.0))
         for t in range(N):
-            sc.update_llrs(t)
+            sc.update_llrs()
             sc.update_partial_sums(0)
         with pytest.raises(ContractViolationError, match="committed"):
-            sc.update_llrs(N)
+            sc.update_llrs()
 
 
 class TestNodeUpdates:
@@ -224,8 +218,8 @@ class TestNodeUpdates:
             node, bits = ScBank(llrs, combining), ScBank(llrs, combining)
             for t, s in self.tiling(N, rng):
                 w = 1 << s
-                alpha = node.update_llrs(t, s)
-                lam = bits.update_llrs(t)
+                alpha = node.update_llrs(s)
+                lam = bits.update_llrs()
                 if s:
                     expect = llrs if w == N else bits.llr[0, w - 1 : 2 * w - 1]
                     assert alpha.shape == (1, w) and np.array_equal(alpha[0], expect)
@@ -234,47 +228,59 @@ class TestNodeUpdates:
                 node.update_partial_sums(polar_transform(u[t : t + w])[None, :] if s else u[t])
                 bits.update_partial_sums(u[t])
                 for b in range(t + 1, t + w):
-                    bits.update_llrs(b)
+                    bits.update_llrs()
                     bits.update_partial_sums(u[b])
 
     def test_node_contract(self):
         sc = ScBank(np.ones(16))
         with pytest.raises(ContractViolationError, match="cannot start"):
-            sc.update_llrs(0, 5)  # wider than the code
-        sc.update_llrs(0, 1)
+            sc.update_llrs(5)  # wider than the code
+        sc.update_llrs(1)
         sc.update_partial_sums(np.zeros((1, 2), dtype=np.int8))
         with pytest.raises(ContractViolationError, match="cannot start"):
-            sc.update_llrs(2, 2)  # a 4-bit node starts at a multiple of 4
-        with pytest.raises(ContractViolationError, match="out of order"):
-            sc.update_llrs(1)  # the 2-bit node committed bits 0 and 1
-        sc.update_llrs(2, 1)
+            sc.update_llrs(2)  # a 4-bit node starts at a multiple of 4, not at bit 2
+        sc.update_llrs(1)
         sc.update_partial_sums(np.zeros((1, 2), dtype=np.int8))
-        sc.update_llrs(4, 2)
+        sc.update_llrs(2)
         sc.update_partial_sums(np.zeros((1, 4), dtype=np.int8))
-        sc.update_llrs(8, 3)
+        sc.update_llrs(3)
         sc.update_partial_sums(np.zeros((1, 8), dtype=np.int8))
         with pytest.raises(ContractViolationError, match="committed"):
-            sc.update_llrs(16)
+            sc.update_llrs()
+
+    @pytest.mark.parametrize("N", [1, 16, 64])
+    def test_position_advances_by_node_width(self, N, rng):
+        # t is the next undecided bit: an LLR update leaves it, the commit moves it past the node
+        sc = ScBank(rng.normal(0, 1, N))
+        assert sc.t == 0
+        for t, s in self.tiling(N, rng):
+            sc.update_llrs(s)
+            assert sc.t == t
+            sc.update_partial_sums(np.zeros((1, 1 << s), dtype=np.int8) if s else 0)
+            assert sc.t == t + (1 << s)
+        assert sc.t == N
+        with pytest.raises(AttributeError):
+            sc.t = 0
 
 
 class TestBankBatching:
     def test_rows_evolve_independently(self, rng):
         llrs = rng.normal(0, 1, 8)
         bank = ScBank(llrs)
-        bank.update_llrs(0)
+        bank.update_llrs()
         bank.take(np.array([0, 0]))
         bank.update_partial_sums(np.array([0, 1], dtype=np.int8))
-        lam = bank.update_llrs(1)
+        lam = bank.update_llrs()
         # row decisions diverge exactly as two independent scratches would
         for row, u0 in enumerate([0, 1]):
             sc = ScBank(llrs)
-            sc.update_llrs(0)
+            sc.update_llrs()
             sc.update_partial_sums(u0)
-            assert lam[row] == sc.update_llrs(1)[0]
+            assert lam[row] == sc.update_llrs()[0]
 
     def test_take_reorders_rows(self, rng):
         bank = ScBank(rng.normal(0, 1, 4))
-        bank.update_llrs(0)
+        bank.update_llrs()
         bank.take(np.array([0, 0]))
         bank.update_partial_sums(np.array([0, 1], dtype=np.int8))
         before = bank.beta.copy()
@@ -284,7 +290,7 @@ class TestBankBatching:
     def test_take_within_and_beyond_capacity(self, rng):
         # gathers alternate between two reserved buffers and grow past the capacity
         bank = ScBank(rng.normal(0, 1, 8), capacity=4)
-        bank.update_llrs(0)
+        bank.update_llrs()
         for rows in ([0, 0], [1, 0, 1, 0], [3, 2, 1, 0, 0, 1], [5, 4]):
             # tag each row so that the gathered order shows
             bank.llr[:, 0] = np.arange(bank.n_paths)
@@ -306,8 +312,8 @@ class TestBankBatching:
         llrs = rng.normal(0, 1, 16)
         bank = ScBank(llrs, capacity=4)
         assert not np.shares_memory(bank.channel, llrs)
-        for t, rows in enumerate(([0, 0], [1, 0, 1], [2, 1, 0, 0], [3, 2], [0, 1, 1])):
-            bank.update_llrs(t)
+        for rows in ([0, 0], [1, 0, 1], [2, 1, 0, 0], [3, 2], [0, 1, 1]):
+            bank.update_llrs()
             bank.take(np.array(rows))
             bank.update_partial_sums(rng.integers(0, 2, len(rows)).astype(np.int8))
             assert bank.llr.shape == (len(rows), 15)
@@ -321,8 +327,8 @@ class TestBankBatching:
         x = polar_transform(u)
         bank = ScBank((1.0 - 2.0 * x) * 80.0)
         out = []
-        for t in range(16):
-            lam = bank.update_llrs(t)
+        for _ in range(16):
+            lam = bank.update_llrs()
             bit = int(lam[0] <= 0)
             out.append(bit)
             bank.update_partial_sums(np.array([bit], dtype=np.int8))
@@ -338,12 +344,12 @@ class TestBankBatching:
             batch = ScBank(llrs, combining, capacity=frames * 4)
             alone = [ScBank(row, combining, capacity=4) for row in llrs]
             assert batch.channel.shape == (frames, N) and batch.n_paths == frames
-            for t, s in tiling:
+            for _, s in tiling:
                 w = 1 << s
-                block = batch.update_llrs(t, s)
+                block = batch.update_llrs(s)
                 per = batch.n_paths // frames
                 for f, bank in enumerate(alone):
-                    assert np.array_equal(block[f * per : (f + 1) * per], bank.update_llrs(t, s))
+                    assert np.array_equal(block[f * per : (f + 1) * per], bank.update_llrs(s))
                 # every frame keeps the same number of rows, each picking its own
                 keep = [rng.integers(0, per, size=int(rng.integers(1, 5))) for _ in alone]
                 keep = [k[: min(map(len, keep))] for k in keep]

@@ -67,7 +67,7 @@ def test_traced_layers_resolve():
 
 def test_bank_copy_count_reads_a_real_bank():
     bank = ScBank(np.ones(8), capacity=4)
-    bank.update_llrs(0)
+    bank.update_llrs()
     bank.take([0, 0, 0])
     counts = defaultdict(int)
     load_tracing()._bank_after(None, (bank,), counts)
