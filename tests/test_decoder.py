@@ -33,7 +33,7 @@ def noiseless_llrs(code, d, mag=60.0):
 
 
 def build_pathset(code, metrics, states, config=DecoderConfig()):
-    """Hand-built PathSet for prune/select tests; bank rows are placeholders."""
+    """Hand-built PathSet for prune tests; bank rows are placeholders."""
     ps = PathSet(np.ones(code.N), code, config)
     P = len(metrics)
     ps.bank.take(np.zeros(P, dtype=np.intp))
@@ -253,6 +253,7 @@ class TestSelectWinner:
     """The winner rule of ``decode``: each frame's first smallest final metric."""
 
     def test_single_and_minimum(self, rng):
+        # SC keeps a single path; the lists pick their smallest metric, frame by frame
         code = PacCode.rm(5, 16, 0o133)
         for cfg in (DecoderConfig("global", 1), DecoderConfig("global", 8), DecoderConfig("local", 2)):
             llrs = np.stack([make_trial(code, 1.0, rng)[1] for _ in range(3)])
@@ -263,9 +264,6 @@ class TestSelectWinner:
                 alone = decode(llrs[f], code, cfg)
                 assert alone.metric == res.metric[f]
                 assert np.array_equal(alone.d_hat, res.d_hat[f])
-        # one path: it is the winner
-        res = decode(llrs[0], code, DecoderConfig("global", 1))
-        assert res.survivor_metrics.shape == (1,) and res.metric == res.survivor_metrics[0]
 
     def test_tie_goes_to_lower_id(self):
         # with all-zero LLRs every path ties: the winner is the oldest row, all v = 0 choices
