@@ -15,8 +15,9 @@ The special cases fall out of the configuration:
 All per-path state lives in parallel arrays (one row per path) so that every
 operation is applied to the whole survivor set in a handful of vector ops.
 An information bit selects before it copies: survivors are chosen from the
-children's metrics and states, and only then is the SC bank gathered, once,
-from their parent rows, so it never holds more rows than the budget.
+children's metrics and states, and only then does the SC bank take them,
+once, from their parents, so it never holds more rows than the budget (a
+survivor that is its parent's only kept child keeps its parent's bank row).
 Paths keep no histories: each information bit stores a backpointer (parent
 row, bit) per survivor, and the winner is read back by one traceback.
 
@@ -335,8 +336,8 @@ def extend_info(paths: PathSet, stage: int = 0, observer=None) -> PathSet:
     v = 1 child's partial sums are the v = 0 child's, flipped.  The path
     arrays are replaced by the children's (per frame, v = 0 children first,
     v = 1 children after them, both in parent order), and ``prune`` (given
-    ``observer``) selects among them; only then are the survivors' parent
-    rows of the bank gathered and their partial sums committed.
+    ``observer``) selects among them; only then does the bank take the
+    survivors from their parents and commit their partial sums.
     """
     frames = paths.frames
     per = paths.size // frames  # parents per frame
@@ -355,7 +356,7 @@ def extend_info(paths: PathSet, stage: int = 0, observer=None) -> PathSet:
         frame, pos = np.divmod(keep, 2 * per)
         parent = pos % per + frame * per
     bit = np.greater_equal(pos, per, out=paths.bits[j, :k])
-    paths.parents[j, :k] = parent  # the bank's gather and the sums below read parent as intp
+    paths.parents[j, :k] = parent  # the bank's take and the sums below read parent as intp
     paths.decided = j + 1
     paths.bank.take(parent)
     paths.bank.update_partial_sums(x[parent] ^ (bit if x.ndim == 1 else bit[:, None]))

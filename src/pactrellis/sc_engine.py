@@ -20,14 +20,22 @@ stage's block and folds upward from there as a bit's commit does.
 
 ``ScBank`` holds one scratch row per decoder path and applies every update to
 all rows at once.  It may hold several frames, each with its own channel LLRs
-and its own paths: rows are grouped by frame, every frame holding the same
-number.  It starts with one row per frame, and pruning and path splitting
-gather rows with ``take``.  Only two updates read the channel: those at bit 0,
-when rows and frames still line up, and the g-update at stage n-1, which reads
-each frame's channel row against that frame's rows.
+and its own paths, every frame holding the same number.  Paths keep an order,
+grouped by frame; rows need not follow it.  The bank has one buffer for LLRs
+and one for sums, each frame owning a block of rows in both, and a slot map
+takes each path to its row, in the first rows of its frame's block (after
+Tal and Vardy's clonePath, and the pointer memory of Balatsoukas-Stimming,
+Bastani Parizi and Burg).  It starts with one path per frame, and pruning
+and path splitting go through ``take``, which copies a row only for a path
+taken twice, and a frame's rows whole only where its path count changes.
+Only two updates read the channel: those at bit 0, when rows and frames
+still line up, and the g-update at stage n-1, which reads each frame's
+channel row against that frame's block.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,18 +81,28 @@ class ScBank:
     several, decoded in lockstep, each finite and at most float max / N^2 in
     magnitude (path metrics reach N^2 times it).  They are kept once, in the
     read-only array ``channel``, as given; each row holds N - 1 intermediate
-    LLRs (``llr``) and N - 1 partial sums (``beta``), both in the per-stage
-    layout of the module docstring.  The bank starts with one row per frame;
-    its rows are grouped by frame, and every frame holds the same number of
-    them.  Updates follow the standard in-order schedule:
-    ``update_llrs(s)`` then ``update_partial_sums(x)`` for nodes that tile
-    0 .. N-1 in order (s = 0, the default, for a bit).  The bank owns the
-    position: a node starts at ``t``, the next undecided bit, and its commit
-    advances ``t`` by the node's width 2^s.  Rows may be gathered with
-    ``take`` (a row may be taken more than once) between the two calls.
-    ``capacity`` reserves room for that many rows, over all frames, so that
-    gathers within it allocate nothing (fresh arrays at every information bit
-    cost page faults under glibc's default malloc settings).
+    LLRs and N - 1 partial sums, both in the per-stage layout of the module
+    docstring.  The bank starts with one path per frame, and every frame
+    holds the same number of them.  Updates follow the standard in-order
+    schedule: ``update_llrs(s)`` then ``update_partial_sums(x)`` for nodes
+    that tile 0 .. N-1 in order (s = 0, the default, for a bit).  The bank
+    owns the position: a node starts at ``t``, the next undecided bit, and
+    its commit advances ``t`` by the node's width 2^s.  Between the two
+    calls ``take`` keeps given paths (a path may be taken more than once).
+
+    Paths have an order, grouped by frame: the one that ``take``, the
+    blocks ``update_llrs`` returns and the sums ``update_partial_sums``
+    reads all use.  The rows that hold them are another matter.  There is
+    one buffer each for LLRs and sums, and each frame owns a block of
+    ``capacity / frames`` rows in it; a frame's paths live in the first rows
+    of its block, the live rows, and a slot map takes each path to its row.
+    The updates run over the live rows in place, whatever their order.
+    ``take`` moves as few rows as it can (see there).  ``llr`` and ``beta``
+    are the live rows, (rows, N - 1) each, with a leading frame axis when
+    ``channel`` has one; ``paths`` returns them in path order.  ``capacity``
+    reserves the rows, over all frames, so that ``take`` within it
+    allocates no bank (fresh arrays at every information bit cost page
+    faults under glibc's default malloc settings).
     """
 
     def __init__(self, channel_llrs, combining: str = "min-sum", capacity: int = 1):
@@ -107,34 +125,75 @@ class ScBank:
         if combining not in COMBINING_RULES:
             raise ValueError(f"combining rule must be one of {COMBINING_RULES}, got {combining!r}")
         self._f = f_minsum if combining == "min-sum" else f_exact
-        # two sides per buffer: the live rows are a prefix of one side, and
-        # take gathers into the other
-        self._side = 0
-        self._beta_buf, self._llr_buf = self._buffers(max(capacity, frames))
-        self.llr, self.beta = self._llr_buf[0, :frames], self._beta_buf[0, :frames]
-        self.llr[:] = 0.0
-        self.beta[:] = 0
+        # read against the live rows' blocks: (rows, w) for one frame, else (frames, rows, w),
+        # each frame's channel row against that frame's rows
+        self._channel = llrs.reshape(N) if frames == 1 else llrs.reshape(frames, 1, N)
+        self._allocate(-(-capacity // frames))
+        self._resize(1)
+        self._llr[:] = 0.0
+        self._beta[:] = 0
         # _pending: update_llrs done, commit outstanding, for the node of 2^_stage bits at _t
         self._t = 0
         self._pending = False
         self._stage = 0
 
+    def _allocate(self, rows: int) -> None:
+        """Fresh buffers of ``rows`` rows per frame: (frames, rows, N - 1), and their flat views."""
+        # beta's first: glibc's default malloc then reuses a freed bank, not trims and refaults it
+        self._beta_buf = np.empty((self.frames, rows, self.N - 1), dtype=np.int8)
+        self._llr_buf = np.empty((self.frames, rows, self.N - 1))
+        self._beta_rows = self._beta_buf.reshape(self.frames * rows, self.N - 1)
+        self._llr_rows = self._llr_buf.reshape(self.frames * rows, self.N - 1)
+
+    def _resize(self, rows: int, slots=None) -> None:
+        """Make the first ``rows`` rows of each frame's block live, and ``slots`` the slot map.
+
+        ``slots`` gives each path's row of the flat buffer, in path order;
+        None means path i is flat row i, which takes the live rows to be one
+        contiguous run: one frame, or full blocks.
+        """
+        if slots is None and self.frames > 1 and rows < self._llr_buf.shape[1]:
+            slots = (np.arange(self.frames)[:, None] * self._llr_buf.shape[1]
+                     + np.arange(rows)).ravel()
+        self._rows = rows
+        self._slots = slots
+        # how the flat buffers are indexed to read or write every path, in path order
+        self._paths = slice(self.frames * rows) if slots is None else slots
+        if self.frames == 1:
+            self._llr, self._beta = self._llr_rows[:rows], self._beta_rows[:rows]
+        else:
+            self._llr, self._beta = self._llr_buf[:, :rows], self._beta_buf[:, :rows]
+
     @property
     def n_paths(self) -> int:
-        return self.llr.shape[0]
+        return self.frames * self._rows
 
     @property
     def t(self) -> int:
         """The next undecided bit: where the next ``update_llrs`` node starts (N once all are)."""
         return self._t
 
+    @property
+    def llr(self) -> np.ndarray:
+        """The live rows' intermediate LLRs, in row order (a view)."""
+        return self._llr_buf[:, : self._rows] if self.channel.ndim == 2 else self._llr
+
+    @property
+    def beta(self) -> np.ndarray:
+        """The live rows' partial sums, in row order (a view)."""
+        return self._beta_buf[:, : self._rows] if self.channel.ndim == 2 else self._beta
+
+    def paths(self):
+        """Each path's LLRs and partial sums, in path order: two (paths, N - 1) copies."""
+        return self._llr_rows[self._paths].copy(), self._beta_rows[self._paths].copy()
+
     def update_llrs(self, stage: int = 0) -> np.ndarray:
         """Recompute the factor-graph nodes down to the 2^stage-bit node at ``t``; return its LLRs.
 
         A node of stage s >= 1 returns its LLR block, (paths, 2^s); a bit
-        (stage 0) returns its decision LLRs, one per path.  The node must
-        start at a multiple of its width.  The result is a view, valid until
-        the next ``update_llrs`` or ``take``.
+        (stage 0) returns its decision LLRs, one per path, both in path
+        order.  The node must start at a multiple of its width.  The result
+        may be a view, valid until the next ``update_llrs`` or ``take``.
         """
         t, width = self._t, 1 << stage
         if self._pending:
@@ -145,42 +204,42 @@ class ScBank:
             raise ContractViolationError(
                 f"a node of {width} bits cannot start at bit {t} of {self.N}")
         # src is the block that stage s reads: the channel for s = n - 1
-        llr = self.llr
+        llr = self._llr
         if t == 0:  # one row per frame
-            top, src = self.n, self.channel
+            top, src = self.n, self._channel
         else:
             top = ((t & -t)).bit_length() - 1  # lowest set bit: g-update stage
             w = 1 << top
-            dst = llr[:, w - 1 : 2 * w - 1]
-            # b + (1 - 2 beta) a, the sign read from a table by the committed partial sum
-            sign = _SIGN[self.beta[:, w - 1 : 2 * w - 1]]
-            if top + 1 < self.n:
-                src, out = llr[:, 2 * w - 1 : 4 * w - 1], dst
-            else:  # each frame's channel row against its rows, as (frames, rows, w) blocks
-                src, out = self.channel.reshape(self.frames, 1, -1), dst.reshape(self.frames, -1, w)
-                sign = sign.reshape(out.shape)
+            dst = llr[..., w - 1 : 2 * w - 1]
+            src = llr[..., 2 * w - 1 : 4 * w - 1] if top + 1 < self.n else self._channel
+            # b + (1 - 2 beta) a, the sign read from a table by the committed partial sum;
             # the product goes into the sign's own block: one (rows, w) temporary, not two
-            np.add(src[..., w:], np.multiply(sign, src[..., :w], out=sign), out=out)
+            sign = _SIGN[self._beta[..., w - 1 : 2 * w - 1]]
+            np.add(src[..., w:], np.multiply(sign, src[..., :w], out=sign), out=dst)
+            del sign  # not held through the f-updates below
             src = dst
         for s in range(top - 1, stage - 1, -1):
             w = 1 << s
-            dst = llr[:, w - 1 : 2 * w - 1]
+            dst = llr[..., w - 1 : 2 * w - 1]
             self._f(src[..., :w], src[..., w:], out=dst)
             src = dst
         self._pending = True
         self._stage = stage
-        # a node of the whole code has no intermediate stage: its LLRs are the channel's,
-        # one row per frame
-        block = (llr[:, width - 1 : 2 * width - 1] if stage < self.n
-                 else np.broadcast_to(self.channel, (self.n_paths, width)))
+        if stage == self.n:
+            # a node of the whole code has no intermediate stage: its LLRs are the
+            # channel's, one row per frame
+            block = np.broadcast_to(self.channel, (self.n_paths, width))
+        else:
+            block = self._llr_rows[:, width - 1 : 2 * width - 1]
+            block = block[self._paths] if self._slots is None else block.take(self._slots, axis=0)
         return block if stage else block[:, 0]
 
     def update_partial_sums(self, x) -> None:
         """Commit the partial sums of the node that ``update_llrs`` last computed.
 
-        ``x`` holds polar(u) over the node's 2^s bits, one row per path, as a
-        (paths, 2^s) block; for a bit it is the decided u, one per path or
-        one for all.
+        ``x`` holds polar(u) over the node's 2^s bits, one row per path in
+        path order, as a (paths, 2^s) block; for a bit it is the decided u,
+        one per path or one for all.
         """
         if not self._pending:
             raise ContractViolationError(
@@ -193,34 +252,111 @@ class ScBank:
         last = self._t + width - 1
         top = (~last & (last + 1)).bit_length() - 1  # trailing one bits of the last bit
         if top < self.n:  # bit N - 1 would fold into stage n, which no later bit reads
-            beta = self.beta
             end = (2 << top) - 1
-            if self._stage:
-                beta[:, end - width : end] = x
-            else:
-                beta[:, end - 1] = x
+            sums = self._beta_rows[:, end - width : end] if self._stage else self._beta_rows[:, end - 1]
+            sums[self._paths] = x
+            beta = self._beta
             for s in range(self._stage, top):
                 w = 1 << s
                 np.bitwise_xor(
-                    beta[:, w - 1 : 2 * w - 1], beta[:, end - w : end],
-                    out=beta[:, end - 2 * w : end - w],
+                    beta[..., w - 1 : 2 * w - 1], beta[..., end - w : end],
+                    out=beta[..., end - 2 * w : end - w],
                 )
         self._pending = False
         self._t = last + 1
 
-    def _buffers(self, rows: int):
-        # beta's first: glibc's default malloc then reuses a freed bank, not trims and refaults it
-        return np.empty((2, rows, self.N - 1), dtype=np.int8), np.empty((2, rows, self.N - 1))
-
     def take(self, rows) -> None:
-        """Keep only the given rows, in the given order (repeats allowed)."""
+        """Keep only the given paths, in the given order (repeats allowed).
+
+        ``rows`` lists, for each new path, the path it copies; each frame
+        keeps as many paths as every other, taken from its own.  A take does
+        one of three things:
+
+        - Growth, where each frame takes its paths, then its paths again:
+          each frame's live rows are copied, as one slice, to the rows after
+          them.
+        - A cut that keeps the count: a path taken once stays in its row, and
+          each further copy of a path goes into the row of a path not taken.
+          No row moves unless a path is taken twice.
+        - Any other take gathers each frame's kept paths, in order, into the
+          first rows of its block.
+        """
         rows = np.asarray(rows, dtype=np.intp)
-        k = rows.size
-        if k and (rows.min() < 0 or rows.max() >= self.n_paths):
-            raise IndexError(f"bank rows must lie in [0, {self.n_paths})")
-        if self._llr_buf.shape[1] < k:
-            self._beta_buf, self._llr_buf = self._buffers(k)
-        side = self._side = self._side ^ 1
-        # indices are checked above; mode="clip" lets np.take write into out unbuffered
-        self.llr = self.llr.take(rows, axis=0, out=self._llr_buf[side, :k], mode="clip")
-        self.beta = self.beta.take(rows, axis=0, out=self._beta_buf[side, :k], mode="clip")
+        frames, live = self.frames, self._rows
+        n, k = frames * live, rows.size
+        if k == 2 * n and rows.tobytes() == _growth(frames, live):  # cheaper than a ufunc
+            self._grow()
+            return
+        if k == n:
+            try:  # bincount rejects negative rows, and rows past n - 1 lengthen its count
+                count = np.bincount(rows, minlength=n)
+            except ValueError:
+                count = None
+            valid = count is not None and count.size == n
+        else:  # as unsigned integers, negative rows are huge
+            valid = k % frames == 0 and (k == 0 or rows.view(np.uintp).max() < n)
+        if valid and frames > 1:
+            valid = (rows.reshape(frames, -1) // live == np.arange(frames)[:, None]).all()
+        if not valid:
+            raise IndexError(f"bank rows must lie in [0, {n}), every frame taking as many "
+                             "of its own paths")
+        if k == n:
+            self._reuse(rows, count)
+        else:
+            self._gather(rows, k // frames)
+
+    def _grow(self) -> None:
+        live = self._rows
+        if self._llr_buf.shape[1] < 2 * live:
+            self._gather(np.frombuffer(_growth(self.frames, live), dtype=np.intp), 2 * live)
+            return
+        self._llr_buf[:, live : 2 * live] = self._llr_buf[:, :live]
+        self._beta_buf[:, live : 2 * live] = self._beta_buf[:, :live]
+        slots = self._slots
+        if slots is not None:  # each copy sits as far past its path's row as the frame's rows
+            slots = slots.reshape(self.frames, live)
+            slots = np.concatenate((slots, slots + live), axis=1).ravel()
+        self._resize(2 * live, slots)
+
+    def _reuse(self, rows, count) -> None:
+        """A take that keeps the count; ``count`` is how often each path is taken."""
+        # a path taken once keeps its row; the rows of paths not taken hold the second
+        # and later copies.  Both lists run in path order, hence frame by frame, and a
+        # frame has as many of each.  Methods, not np functions: a call here costs
+        # more than the work.
+        free = (count == 0).nonzero()[0]
+        slots = rows.copy() if self._slots is None else self._slots.take(rows)
+        if free.size:
+            order = rows.argsort(kind="stable")
+            ranked = rows.take(order)
+            copies = order[1:][ranked[1:] == ranked[:-1]]
+            if self._slots is not None:
+                free = self._slots.take(free)
+            src = slots.take(copies)
+            slots[copies] = free
+            self._llr_rows[free] = self._llr_rows.take(src, axis=0)
+            self._beta_rows[free] = self._beta_rows.take(src, axis=0)
+        self._slots = self._paths = slots
+
+    def _gather(self, rows, keep: int) -> None:
+        """Gather the paths ``rows`` into the first ``keep`` rows of each frame's block."""
+        src = rows if self._slots is None else self._slots.take(rows)
+        if self._llr_buf.shape[1] < keep:
+            llr, beta = self._llr_rows, self._beta_rows
+            self._allocate(keep)
+            np.take(llr, src, axis=0, out=self._llr_rows)
+            np.take(beta, src, axis=0, out=self._beta_rows)
+        else:
+            # the kept rows overwrite live ones, so they are gathered first: into a fresh
+            # array, which costs less than np.take's own copy when out overlaps its input
+            src = src.reshape(self.frames, keep)
+            self._llr_buf[:, :keep] = self._llr_rows.take(src, axis=0)
+            self._beta_buf[:, :keep] = self._beta_rows.take(src, axis=0)
+        self._resize(keep)
+
+
+@lru_cache(maxsize=256)
+def _growth(frames: int, rows: int) -> bytes:
+    """The rows of a growth, as the bytes of an intp array: per frame its paths, twice over."""
+    return (np.arange(frames)[:, None] * rows + np.arange(2 * rows) % rows).astype(np.intp).tobytes()
+

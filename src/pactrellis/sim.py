@@ -16,11 +16,15 @@ true stopping trial, so the reported prefix is the same whatever the worker
 count and results are byte-identical for any ``workers`` value.  A serial
 run decodes exactly that prefix.
 
-Inside a chunk, trials run in lockstep batches of up to ``LOCKSTEP_ROWS`` paths
-(``batch_size``) and never more frames than the errors still missing.  Each
-trial draws its message, then its noise, from its own generator as above; the
-batch is encoded, modulated, turned into LLRs and decoded as one array, one
-``decode`` call.  A chunk returns each trial's bit-error count, a frame error
+Inside a chunk, trials run in lockstep batches (``batch_size``): a batch's SC
+bank holds at most ``BANK_ROW_SLOTS`` row slots (paths times N - 1), the
+bytes of a 128-path bank at N = 1024, and at most ``LOCKSTEP_FRAMES``
+frames, and never more frames than the errors still missing.  SCL-32 on
+PAC(1024,512) runs 4 frames a batch; on PAC(128,64) LVA with 32 paths runs
+32, LVA with 128 paths 8 and SCL-8 64.  Each trial draws its message, then
+its noise, from its own generator as above (``trial_rng`` resets one
+reused generator per trial); the batch is encoded, modulated, turned into
+LLRs and decoded as one array, one ``decode`` call.  A chunk returns each trial's bit-error count, a frame error
 where nonzero.  Each trial adds at most one frame error, so a batch that meets
 the target ends on the stopping trial.  ``run_trial`` is the batch of one.
 
@@ -31,6 +35,7 @@ no process-pool modules; ``workers`` > 1 imports ``concurrent.futures`` and
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -38,7 +43,7 @@ from itertools import islice
 
 import numpy as np
 
-from .channel import ChannelParams, awgn, bpsk_modulate, channel_llr
+from .channel import ChannelParams, bpsk_modulate, channel_llr
 from .decoder import DecoderConfig, decode
 from .pac_core import PacCode, pac_encode
 
@@ -59,9 +64,12 @@ __all__ = [
 ]
 
 TRIALS_PER_CHUNK = 200
-# paths per lockstep batch: past about 64 rows a step's cost grows with its data,
-# not its fixed cost of numpy calls (SCL on PAC(1024,512))
-LOCKSTEP_ROWS = 64
+# a lockstep batch's bank holds at most this many row slots, paths x (N - 1): one
+# bank side of 128 rows at N = 1024, the bytes that two sides of 64 rows held when
+# the bank gathered every row into a second side
+BANK_ROW_SLOTS = 128 * 1023
+# and at most this many frames, so that small codes do not batch a whole chunk
+LOCKSTEP_FRAMES = 64
 
 CSV_COLUMNS = (
     "ebno_db",
@@ -116,11 +124,32 @@ class FerPoint:
     wall_time: float = 0.0
 
 
+_reused = threading.local()  # each thread's (master seed, generator, Philox key)
+
+
 def trial_rng(master_seed: int, snr_index: int, trial_index: int) -> np.random.Generator:
-    """The pinned per-trial generator: Philox keyed by the seed, counter [0, trial, snr, 0]."""
-    return np.random.Generator(
-        np.random.Philox(key=master_seed, counter=[0, trial_index, snr_index, 0])
-    )
+    """The pinned per-trial generator: Philox keyed by the seed, counter [0, trial, snr, 0].
+
+    Each thread reuses one generator per master seed: a call sets its counter
+    and empties its buffered output, so it draws what a new
+    ``Philox(key=master_seed, counter=[0, trial, snr, 0])`` would, and it is
+    valid until the thread's next call.  Building a new one cost about 13 us.
+    """
+    cached = getattr(_reused, "philox", None)
+    if cached is None or cached[0] != master_seed:
+        bits = np.random.Philox(key=master_seed)
+        cached = _reused.philox = (master_seed, np.random.Generator(bits), bits.state["state"]["key"])
+    rng = cached[1]
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([0, trial_index, snr_index, 0], dtype=np.uint64),
+                  "key": cached[2]},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,  # nothing buffered
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def run_trial(plan: SimPlan, snr_index: int, trial_index: int):
@@ -130,8 +159,12 @@ def run_trial(plan: SimPlan, snr_index: int, trial_index: int):
 
 
 def batch_size(plan: SimPlan) -> int:
-    """Frames per lockstep batch: as many as fit ``LOCKSTEP_ROWS`` live paths, at least one."""
-    return max(1, LOCKSTEP_ROWS // plan.decoder.paths_per_frame(plan.code))
+    """Frames per lockstep batch: as many as fit ``BANK_ROW_SLOTS``, at most ``LOCKSTEP_FRAMES``.
+
+    A frame takes ``paths_per_frame`` rows of N - 1 slots; a batch holds at least one.
+    """
+    slots = plan.decoder.paths_per_frame(plan.code) * max(1, plan.code.N - 1)
+    return max(1, min(LOCKSTEP_FRAMES, BANK_ROW_SLOTS // slots))
 
 
 def _run_chunk(plan: SimPlan, snr_index: int, start: int, count: int, stop_at: int):
@@ -139,7 +172,9 @@ def _run_chunk(plan: SimPlan, snr_index: int, start: int, count: int, stop_at: i
 
     Trials are decoded in lockstep batches of at most ``batch_size(plan)``
     frames and at most the errors still missing, so the batch that makes the
-    ``stop_at``-th error ends on it.
+    ``stop_at``-th error ends on it.  Each trial draws its message and its noise
+    before the next trial's generator is set; the noise is added as
+    ``channel.awgn`` adds it.
     """
     code = plan.code
     sigma2 = ChannelParams(plan.snr_points[snr_index], code.K / code.N).sigma2
@@ -148,10 +183,13 @@ def _run_chunk(plan: SimPlan, snr_index: int, start: int, count: int, stop_at: i
     done = found = 0
     while done < count and found < stop_at:
         b = min(size, stop_at - found, count - done)
-        rngs = [trial_rng(plan.master_seed, snr_index, start + done + i) for i in range(b)]
-        d = np.stack([rng.integers(0, 2, size=code.K, dtype=np.int8) for rng in rngs])
-        s = bpsk_modulate(pac_encode(d, code))
-        y = np.stack([awgn(row, sigma2, rng) for row, rng in zip(s, rngs)])
+        d = np.empty((b, code.K), dtype=np.int8)
+        z = np.empty((b, code.N))
+        for i in range(b):
+            rng = trial_rng(plan.master_seed, snr_index, start + done + i)
+            d[i] = rng.integers(0, 2, size=code.K, dtype=np.int8)
+            rng.standard_normal(out=z[i])
+        y = bpsk_modulate(pac_encode(d, code)) + np.sqrt(sigma2) * z
         d_hat = decode(channel_llr(y, sigma2), code, plan.decoder).d_hat
         errs[done : done + b] = np.count_nonzero(d_hat != d, axis=1)
         found += int(np.count_nonzero(errs[done : done + b]))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -440,7 +441,7 @@ class TestDecode:
             for bit in v:
                 state = (state >> 1) | (int(bit) << (m - 1))
             assert ps.states[i] == state
-            assert np.array_equal(stage_n_sums(ps.bank.beta[i], u[-1]), polar_transform(u))
+            assert np.array_equal(stage_n_sums(ps.bank.paths()[1][i], u[-1]), polar_transform(u))
 
     @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"{c.sorting}-L{c.list_size}")
     def test_bank_never_exceeds_budget(self, cfg, rng):
@@ -706,7 +707,7 @@ class TestBatch:
 
             def hook(t, ps):
                 assert ps.frames == 3 and ps.size % 3 == 0
-                assert ps.bank.llr.shape == (ps.size, code.N - 1)
+                assert ps.bank.llr.shape == (3, ps.size // 3, code.N - 1)
                 states = ps.states.reshape(3, -1)
                 if cfg.sorting == "local":
                     assert (states == states[0]).all()
@@ -727,6 +728,24 @@ class TestBatch:
         code = PacCode(4, 16, range(16), 0o3)
         wide = PathSet(np.ones(16), code, DecoderConfig("global", 1 << 15))
         assert wide.parents.shape == (16, 1 << 15) and wide.parents.dtype == np.intp
+
+    def test_batch_at_the_bank_cap_stays_within_its_memory(self):
+        # SCL-32 on PAC(1024,512) decodes 4 frames a batch in a bank of 128 x 1,023 row
+        # slots.  A 2-frame batch of the two-sided bank peaked at 1,908 KiB; one decode of
+        # the 4-frame batch must stay within that and a 300 KiB margin (it reads about
+        # 2,150 KiB: the g-update's (rows, N/2) sign temporary, 512 KiB, is freed before
+        # the f-updates, which hold their own)
+        code = PacCode.rm(10, 512, 0o133)
+        cfg = DecoderConfig("global", 32)
+        x = np.stack([make_trial(code, 2.0, np.random.default_rng(i))[1] for i in range(4)])
+        decode(x, code, cfg)  # the cached schedule and tables are made here
+        tracemalloc.start()
+        try:
+            decode(x, code, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1908 + 300) << 10
 
     def test_one_frame_batch_equals_one_frame(self, rng):
         code = PacCode.rm(5, 16, 0o133)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import exact_combine_reference, log_uniform_pairs, stage_n_sums
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pactrellis.pac_core import polar_transform
 from pactrellis.sc_engine import (
@@ -283,22 +285,42 @@ class TestBankBatching:
         bank.update_llrs()
         bank.take(np.array([0, 0]))
         bank.update_partial_sums(np.array([0, 1], dtype=np.int8))
-        before = bank.beta.copy()
+        before = bank.paths()[1]
         bank.take(np.array([1, 0]))
-        assert np.array_equal(bank.beta, before[[1, 0]])
+        assert np.array_equal(bank.paths()[1], before[[1, 0]])
 
     def test_take_within_and_beyond_capacity(self, rng):
-        # gathers alternate between two reserved buffers and grow past the capacity
+        # takes within the reserved rows and past them keep the paths in the given order
         bank = ScBank(rng.normal(0, 1, 8), capacity=4)
         bank.update_llrs()
         for rows in ([0, 0], [1, 0, 1, 0], [3, 2, 1, 0, 0, 1], [5, 4]):
             # tag each row so that the gathered order shows
             bank.llr[:, 0] = np.arange(bank.n_paths)
             bank.beta[:, 0] = np.arange(bank.n_paths) % 2
-            llr, beta = bank.llr.copy(), bank.beta.copy()
+            llr, beta = bank.paths()
             bank.take(np.array(rows))
-            assert np.array_equal(bank.llr, llr[rows])
-            assert np.array_equal(bank.beta, beta[rows])
+            assert np.array_equal(bank.paths()[0], llr[rows])
+            assert np.array_equal(bank.paths()[1], beta[rows])
+
+    def test_cut_without_repeats_moves_no_row(self, rng):
+        # a cut that keeps the count and takes no path twice leaves every row in place:
+        # each survivor stays in its parent's row, and only the path order changes
+        bank = ScBank(rng.normal(0, 1, (2, 16)), capacity=8)
+        bank.update_llrs()
+        bank.take([0, 0, 0, 0, 1, 1, 1, 1])
+        bank.llr[..., 0] = np.arange(8).reshape(2, 4)
+        rows_before, paths_before = bank.llr.copy(), bank.paths()[0]
+        perm = np.array([2, 0, 3, 1, 7, 4, 5, 6])
+        bank.take(perm)
+        assert np.array_equal(bank.llr, rows_before)
+        assert np.array_equal(bank.paths()[0], paths_before[perm])
+        # taking a path twice overwrites only the row of a path not taken
+        twice = np.array([1, 1, 3, 2, 4, 5, 6, 7])
+        paths_before = bank.paths()[0]
+        bank.take(twice)
+        changed = (bank.llr != rows_before).any(axis=-1)
+        assert changed.sum() == 1 and changed[0].sum() == 1
+        assert np.array_equal(bank.paths()[0], paths_before[twice])
 
     def test_take_rejects_out_of_range_rows(self, rng):
         bank = ScBank(rng.normal(0, 1, 4))
@@ -306,6 +328,16 @@ class TestBankBatching:
         for rows in ([2], [0, -1]):
             with pytest.raises(IndexError):
                 bank.take(np.array(rows))
+
+    def test_take_keeps_paths_in_their_frames(self, rng):
+        # a frame's paths live in its own rows, read against its own channel row
+        bank = ScBank(rng.normal(0, 1, (2, 8)), capacity=8)
+        bank.take([0, 0, 1, 1])
+        for rows in ([0, 2, 2, 3], [0, 1, 2], [2, 3, 0, 1]):
+            with pytest.raises(IndexError):
+                bank.take(np.array(rows))
+        bank.take([1, 2])
+        assert bank.llr.shape == (2, 1, 7)
 
     def test_channel_stage_is_shared(self, rng):
         # rows hold only the N - 1 intermediate slots; the channel LLRs are one read-only vector
@@ -357,14 +389,66 @@ class TestBankBatching:
                 x = rng.integers(0, 2, (batch.n_paths, w), dtype=np.int8)
                 batch.update_partial_sums(x if s else x[:, 0])
                 rows = len(keep[0])
+                llr, beta = batch.paths()
                 for f, (bank, k) in enumerate(zip(alone, keep)):
                     bank.take(k)
                     xf = x[f * rows : (f + 1) * rows]
                     bank.update_partial_sums(xf if s else xf[:, 0])
-                    assert np.array_equal(batch.llr[f * rows : (f + 1) * rows], bank.llr)
-                    assert np.array_equal(batch.beta[f * rows : (f + 1) * rows], bank.beta)
+                    assert np.array_equal(llr[f * rows : (f + 1) * rows], bank.paths()[0])
+                    assert np.array_equal(beta[f * rows : (f + 1) * rows], bank.paths()[1])
 
     @pytest.mark.parametrize("shape", [(0, 8), (2, 2, 8), (2, 6)])
     def test_rejects_bad_frame_shapes(self, shape):
         with pytest.raises(ValueError):
             ScBank(np.ones(shape))
+
+
+def _take_rows(data, frames, live, cap):
+    """Rows for a take: growth, a cut that keeps the count (with repeats), or any other count."""
+    kind = data.draw(st.sampled_from(["grow", "same", "other"]))
+    if kind == "grow" and 2 * live <= cap:
+        per = [list(range(live)) * 2] * frames
+    else:
+        keep = live if kind == "same" else data.draw(st.integers(1, cap))
+        per = [data.draw(st.lists(st.integers(0, live - 1), min_size=keep, max_size=keep))
+               for _ in range(frames)]
+    return np.array([f * live + r for f, rows in enumerate(per) for r in rows], dtype=np.intp)
+
+
+def _replay(channel, combining, history, stage=None):
+    """A fresh one-row bank that has committed ``history``, (stage, x) per node; and the
+    LLRs of a further node of ``stage``, if given."""
+    bank = ScBank(channel, combining)
+    for s, x in history:
+        bank.update_llrs(s)
+        bank.update_partial_sums(x)
+    return bank, None if stage is None else bank.update_llrs(stage)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), frames=st.integers(1, 3), n=st.integers(1, 4),
+       combining=st.sampled_from(["min-sum", "exact"]))
+def test_bank_equals_one_row_bank_per_path(data, frames, n, combining):
+    # a naive model: each path is its frame and the node sums committed along it, replayed
+    # on a fresh one-row bank.  Random growths, cuts with repeated parents and other takes,
+    # over 1-3 frames and random node widths, leave every path's node LLRs, LLRs and sums
+    # equal to its replay's
+    N, cap = 1 << n, 4
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    llrs = rng.normal(0, 2, (frames, N))
+    bank = ScBank(llrs, combining, capacity=frames * cap)
+    model = [(f, []) for f in range(frames)]
+    for t, s in TestNodeUpdates.tiling(N, rng):
+        block = bank.update_llrs(s)
+        expect = [_replay(llrs[f], combining, history, s)[1] for f, history in model]
+        assert np.array_equal(block, np.concatenate(expect))
+        rows = _take_rows(data, frames, bank.n_paths // frames, cap)
+        bank.take(rows)
+        x = rng.integers(0, 2, (rows.size, 1 << s), dtype=np.int8)
+        bank.update_partial_sums(x if s else x[:, 0])
+        model = [(model[r][0], model[r][1] + [(s, xi[None, :] if s else xi[0])])
+                 for r, xi in zip(rows, x)]
+        llr, beta = bank.paths()
+        for i, (f, history) in enumerate(model):
+            alone = _replay(llrs[f], combining, history)[0]
+            assert np.array_equal(llr[i], alone.llr[0]) and np.array_equal(beta[i], alone.beta[0])

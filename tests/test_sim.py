@@ -160,7 +160,7 @@ class TestRunPoint:
             return decode(llrs, code, config)
 
         plan = small_plan(snr_points=(snr,), min_frame_errors=min_errors)
-        assert sim.batch_size(plan) == 32  # 64 rows over a budget of 2 paths
+        assert sim.batch_size(plan) == 64  # the frame cap: 2 paths of 15 slots fit 4,364 frames
         monkeypatch.setattr(sim, "decode", counting_decode)
         point = run_point(plan, 0)
         monkeypatch.undo()
@@ -177,15 +177,19 @@ class TestRunPoint:
         assert point.trials == stop and point.frame_errors == cum[stop - 1]
         assert point.bit_errors == sum(errs for _, errs in trials[:stop])
 
-    def test_batch_size_fills_64_rows(self):
-        code = PacCode.rm(10, 512, 0o133)
-        for name, list_size, frames in (("scl", 32, 2), ("scl", 8, 8), ("sc", None, 64),
-                                        ("lva", 2, 1), ("va", None, 1)):
-            plan = small_plan(code=code, decoder=DecoderConfig.from_name(name, list_size))
+    def test_batch_size_fills_the_bank_bytes(self):
+        # a batch holds at most 128 x 1,023 row slots, paths x (N - 1), and 64 frames
+        for (n, K, gen), name, list_size, frames in (
+                ((10, 512, 0o133), "scl", 32, 4), ((10, 512, 0o133), "scl", 8, 16),
+                ((10, 512, 0o133), "sc", None, 64), ((10, 512, 0o133), "lva", 2, 1),
+                ((10, 512, 0o133), "va", None, 2), ((7, 64, 0o73), "lva", 1, 32),
+                ((7, 64, 0o133), "lva", 2, 8), ((7, 64, 0o133), "scl", 8, 64)):
+            plan = small_plan(code=PacCode.rm(n, K, gen),
+                              decoder=DecoderConfig.from_name(name, list_size))
             assert sim.batch_size(plan) == frames
-        # a code with few messages keeps fewer paths than the budget
-        plan = small_plan(code=PacCode.rm(3, 2, 0o133), decoder=DecoderConfig("local", 4))
-        assert sim.batch_size(plan) == 16
+        # a code with few messages keeps fewer paths than the budget: 4, not 256
+        plan = small_plan(code=PacCode.rm(10, 2, 0o133), decoder=DecoderConfig("local", 4))
+        assert sim.batch_size(plan) == 32
 
     def test_trial_reproducible_in_isolation(self):
         plan = small_plan(snr_points=(1.0,))
@@ -207,7 +211,8 @@ class TestRunPoint:
 
         monkeypatch.setattr(sim, "decode", capturing_decode)
         point = run_point(plan, 1)
-        assert max(len(b) for b in batches) == sim.batch_size(plan) == 16
+        # 64 frames fit, so the 40 trials, all 40 errors still missing, are one batch
+        assert sim.batch_size(plan) == 64 and [len(b) for b in batches] == [40]
         rows = np.concatenate(batches)
         assert len(rows) == point.trials == 40
         G = generator_matrix(code)
@@ -219,6 +224,20 @@ class TestRunPoint:
             x = d.astype(int) @ G % 2
             np.testing.assert_allclose(row, 2 * ((1 - 2 * x) + np.sqrt(sigma2) * z) / sigma2,
                                        rtol=1e-12, atol=0)
+
+    def test_trial_rng_draws_as_a_new_philox(self):
+        # the reused generator, set per trial, draws what a new Philox would, whatever the
+        # trial before it left buffered; each thread has its own
+        def draws(rng):
+            return (rng.integers(0, 2, size=13, dtype=np.int8).tobytes()
+                    + rng.standard_normal(5).tobytes() + rng.integers(0, 9, 3, np.int32).tobytes())
+
+        for seed, snr, trial in ((11, 0, 0), (11, 0, 1), (11, 2, 1), (5, 0, 1), (2**70, 1, 3)):
+            fresh = np.random.Generator(np.random.Philox(key=seed, counter=[0, trial, snr, 0]))
+            assert draws(sim.trial_rng(seed, snr, trial)) == draws(fresh)
+        with ThreadPoolExecutor(1) as pool:
+            other = pool.submit(sim.trial_rng, 11, 0, 0).result()
+        assert other is not sim.trial_rng(11, 0, 0)
 
     @pytest.mark.slow
     def test_worker_invariance(self):
