@@ -49,6 +49,9 @@ __all__ = [
 COMBINING_RULES = ("min-sum", "exact")
 
 _SIGN = np.array([1.0, -1.0])  # 1 - 2c for partial sum c
+# a bank of several frames makes a temporary of more elements than this (128 KiB of
+# LLRs) one frame at a time, so that a batch's heap grows with its bank and no more
+_SPLIT = 1 << 14
 
 
 class ContractViolationError(RuntimeError):
@@ -203,26 +206,13 @@ class ScBank:
         if t % width or t + width > self.N:
             raise ContractViolationError(
                 f"a node of {width} bits cannot start at bit {t} of {self.N}")
-        # src is the block that stage s reads: the channel for s = n - 1
-        llr = self._llr
-        if t == 0:  # one row per frame
-            top, src = self.n, self._channel
+        # the g-update's stage, t's lowest set bit; bit 0 has none, its rows one per frame
+        top = (t & -t).bit_length() - 1 if t else self.n
+        if self.frames > 1 and self.n_paths << top > _SPLIT:
+            for f in range(self.frames):
+                self._recurse(self._llr[f], self._beta[f], self._channel[f], t, top, stage)
         else:
-            top = ((t & -t)).bit_length() - 1  # lowest set bit: g-update stage
-            w = 1 << top
-            dst = llr[..., w - 1 : 2 * w - 1]
-            src = llr[..., 2 * w - 1 : 4 * w - 1] if top + 1 < self.n else self._channel
-            # b + (1 - 2 beta) a, the sign read from a table by the committed partial sum;
-            # the product goes into the sign's own block: one (rows, w) temporary, not two
-            sign = _SIGN[self._beta[..., w - 1 : 2 * w - 1]]
-            np.add(src[..., w:], np.multiply(sign, src[..., :w], out=sign), out=dst)
-            del sign  # not held through the f-updates below
-            src = dst
-        for s in range(top - 1, stage - 1, -1):
-            w = 1 << s
-            dst = llr[..., w - 1 : 2 * w - 1]
-            self._f(src[..., :w], src[..., w:], out=dst)
-            src = dst
+            self._recurse(self._llr, self._beta, self._channel, t, top, stage)
         self._pending = True
         self._stage = stage
         if stage == self.n:
@@ -233,6 +223,30 @@ class ScBank:
             block = self._llr_rows[:, width - 1 : 2 * width - 1]
             block = block[self._paths] if self._slots is None else block.take(self._slots, axis=0)
         return block if stage else block[:, 0]
+
+    def _recurse(self, llr, beta, channel, t: int, top: int, stage: int) -> None:
+        """The g-update at stage ``top`` (none at bit 0), then f-updates down to ``stage``.
+
+        ``llr`` and ``beta`` are live rows, (rows, N - 1) or (frames, rows,
+        N - 1), and ``channel`` is read against them (see ``__init__``).
+        """
+        src = channel  # the block that stage s reads: the channel for s = n - 1
+        if t:
+            w = 1 << top
+            dst = llr[..., w - 1 : 2 * w - 1]
+            if top + 1 < self.n:
+                src = llr[..., 2 * w - 1 : 4 * w - 1]
+            # b + (1 - 2 beta) a, the sign read from a table by the committed partial sum;
+            # the product goes into the sign's own block: one (rows, w) temporary, not two
+            sign = _SIGN[beta[..., w - 1 : 2 * w - 1]]
+            np.add(src[..., w:], np.multiply(sign, src[..., :w], out=sign), out=dst)
+            del sign  # not held through the f-updates below
+            src = dst
+        for s in range(top - 1, stage - 1, -1):
+            w = 1 << s
+            dst = llr[..., w - 1 : 2 * w - 1]
+            self._f(src[..., :w], src[..., w:], out=dst)
+            src = dst
 
     def update_partial_sums(self, x) -> None:
         """Commit the partial sums of the node that ``update_llrs`` last computed.
@@ -310,8 +324,12 @@ class ScBank:
         if self._llr_buf.shape[1] < 2 * live:
             self._gather(np.frombuffer(_growth(self.frames, live), dtype=np.intp), 2 * live)
             return
-        self._llr_buf[:, live : 2 * live] = self._llr_buf[:, :live]
-        self._beta_buf[:, live : 2 * live] = self._beta_buf[:, :live]
+        # over several frames the two row ranges interleave in memory, so numpy copies the
+        # source to a temporary first: as large as the live rows
+        frames = [slice(None)] if self.n_paths * (self.N - 1) <= _SPLIT else range(self.frames)
+        for f in frames:
+            self._llr_buf[f, live : 2 * live] = self._llr_buf[f, :live]
+            self._beta_buf[f, live : 2 * live] = self._beta_buf[f, :live]
         slots = self._slots
         if slots is not None:  # each copy sits as far past its path's row as the frame's rows
             slots = slots.reshape(self.frames, live)
@@ -321,9 +339,9 @@ class ScBank:
     def _reuse(self, rows, count) -> None:
         """A take that keeps the count; ``count`` is how often each path is taken."""
         # a path taken once keeps its row; the rows of paths not taken hold the second
-        # and later copies.  Both lists run in path order, hence frame by frame, and a
-        # frame has as many of each.  Methods, not np functions: a call here costs
-        # more than the work.
+        # and later copies.  Both lists run in path order, hence frame by frame, and each
+        # frame has as many of one as of the other.  Methods, not np functions: a call
+        # here costs more than the work.
         free = (count == 0).nonzero()[0]
         slots = rows.copy() if self._slots is None else self._slots.take(rows)
         if free.size:
@@ -334,8 +352,11 @@ class ScBank:
                 free = self._slots.take(free)
             src = slots.take(copies)
             slots[copies] = free
-            self._llr_rows[free] = self._llr_rows.take(src, axis=0)
-            self._beta_rows[free] = self._beta_rows.take(src, axis=0)
+            per = max(1, _SPLIT // max(1, self.N - 1))  # rows a copy gathers first, at most
+            for part in range(0, free.size, per):
+                to, of = free[part : part + per], src[part : part + per]
+                self._llr_rows[to] = self._llr_rows.take(of, axis=0)
+                self._beta_rows[to] = self._beta_rows.take(of, axis=0)
         self._slots = self._paths = slots
 
     def _gather(self, rows, keep: int) -> None:

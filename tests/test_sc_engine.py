@@ -6,6 +6,7 @@ from conftest import exact_combine_reference, log_uniform_pairs, stage_n_sums
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pactrellis import sc_engine
 from pactrellis.pac_core import polar_transform
 from pactrellis.sc_engine import (
     ContractViolationError,
@@ -425,14 +426,22 @@ def _replay(channel, combining, history, stage=None):
     return bank, None if stage is None else bank.update_llrs(stage)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(data=st.data(), frames=st.integers(1, 3), n=st.integers(1, 4),
-       combining=st.sampled_from(["min-sum", "exact"]))
-def test_bank_equals_one_row_bank_per_path(data, frames, n, combining):
+       combining=st.sampled_from(["min-sum", "exact"]), split=st.sampled_from([0, 1 << 14]))
+def test_bank_equals_one_row_bank_per_path(data, frames, n, combining, split):
     # a naive model: each path is its frame and the node sums committed along it, replayed
     # on a fresh one-row bank.  Random growths, cuts with repeated parents and other takes,
     # over 1-3 frames and random node widths, leave every path's node LLRs, LLRs and sums
-    # equal to its replay's
+    # equal to its replay's, with the bank's large blocks done whole or frame by frame
+    saved, sc_engine._SPLIT = sc_engine._SPLIT, split
+    try:
+        _check_against_replays(data, frames, n, combining)
+    finally:
+        sc_engine._SPLIT = saved
+
+
+def _check_against_replays(data, frames, n, combining):
     N, cap = 1 << n, 4
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     llrs = rng.normal(0, 2, (frames, N))
