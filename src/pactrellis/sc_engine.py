@@ -99,13 +99,16 @@ class ScBank:
     one buffer each for LLRs and sums, and each frame owns a block of
     ``capacity / frames`` rows in it; a frame's paths live in the first rows
     of its block, the live rows, and a slot map takes each path to its row.
-    The updates run over the live rows in place, whatever their order.
-    ``take`` moves as few rows as it can (see there).  ``llr`` and ``beta``
-    are the live rows, (rows, N - 1) each, with a leading frame axis when
-    ``channel`` has one; ``paths`` returns them in path order.  ``capacity``
-    reserves the rows, over all frames, so that ``take`` within it
-    allocates no bank (fresh arrays at every information bit cost page
-    faults under glibc's default malloc settings).
+    The updates run over the live rows in place, whatever their order, and
+    ``take`` moves as few rows as it can (see there).  A bank of several
+    frames makes its large temporaries (a g-update's sign block, the
+    combining rule's, a growth's copy) one frame at a time, so that its heap
+    grows with its rows and no more.  ``llr`` and ``beta`` are the live
+    rows, (rows, N - 1) each, with a leading frame axis when ``channel`` has
+    one; ``paths`` returns them in path order.  ``capacity`` reserves the
+    rows, over all frames, so that ``take`` within it allocates no bank
+    (fresh arrays at every information bit cost page faults under glibc's
+    default malloc settings).
     """
 
     def __init__(self, channel_llrs, combining: str = "min-sum", capacity: int = 1):
@@ -267,7 +270,8 @@ class ScBank:
         top = (~last & (last + 1)).bit_length() - 1  # trailing one bits of the last bit
         if top < self.n:  # bit N - 1 would fold into stage n, which no later bit reads
             end = (2 << top) - 1
-            sums = self._beta_rows[:, end - width : end] if self._stage else self._beta_rows[:, end - 1]
+            rows = self._beta_rows
+            sums = rows[:, end - width : end] if self._stage else rows[:, end - 1]
             sums[self._paths] = x
             beta = self._beta
             for s in range(self._stage, top):
@@ -379,5 +383,6 @@ class ScBank:
 @lru_cache(maxsize=256)
 def _growth(frames: int, rows: int) -> bytes:
     """The rows of a growth, as the bytes of an intp array: per frame its paths, twice over."""
-    return (np.arange(frames)[:, None] * rows + np.arange(2 * rows) % rows).astype(np.intp).tobytes()
+    pattern = np.arange(frames)[:, None] * rows + np.arange(2 * rows) % rows
+    return pattern.astype(np.intp).tobytes()
 

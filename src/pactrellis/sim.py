@@ -24,9 +24,10 @@ PAC(1024,512) runs 4 frames a batch; on PAC(128,64) LVA with 32 paths runs
 32, LVA with 128 paths 8 and SCL-8 64.  Each trial draws its message, then
 its noise, from its own generator as above (``trial_rng`` resets one
 reused generator per trial); the batch is encoded, modulated, turned into
-LLRs and decoded as one array, one ``decode`` call.  A chunk returns each trial's bit-error count, a frame error
-where nonzero.  Each trial adds at most one frame error, so a batch that meets
-the target ends on the stopping trial.  ``run_trial`` is the batch of one.
+LLRs and decoded as one array, one ``decode`` call.  A chunk returns each
+trial's bit-error count, a frame error where nonzero.  Each trial adds at
+most one frame error, so a batch that meets the target ends on the stopping
+trial.  ``run_trial`` is the batch of one.
 
 ``workers=1`` (the default) runs every chunk in the calling process and loads
 no process-pool modules; ``workers`` > 1 imports ``concurrent.futures`` and
@@ -138,12 +139,13 @@ def trial_rng(master_seed: int, snr_index: int, trial_index: int) -> np.random.G
     cached = getattr(_reused, "philox", None)
     if cached is None or cached[0] != master_seed:
         bits = np.random.Philox(key=master_seed)
-        cached = _reused.philox = (master_seed, np.random.Generator(bits), bits.state["state"]["key"])
-    rng = cached[1]
+        cached = (master_seed, np.random.Generator(bits), bits.state["state"]["key"])
+        _reused.philox = cached
+    _, rng, key = cached
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": np.array([0, trial_index, snr_index, 0], dtype=np.uint64),
-                  "key": cached[2]},
+                  "key": key},
         "buffer": np.zeros(4, dtype=np.uint64),
         "buffer_pos": 4,  # nothing buffered
         "has_uint32": 0,
