@@ -344,8 +344,10 @@ def extend_info(paths: PathSet, stage: int = 0, observer=None) -> PathSet:
     z, x = _node_llrs(paths, stage)
     shifted = paths.states >> paths._tables[stage][2]
     paths.states = _children(shifted, shifted | paths._high, frames)
+    z = _children(z, -z, frames)  # a fresh array, so the penalties overwrite it
     paths.metrics = _children(paths.metrics, paths.metrics, frames) + _node_sum(
-        paths._phi(0.0, _children(z, -z, frames)))
+        paths._phi(0.0, z, out=z))
+    del z  # not held through the cut and the bank's take
     keep = prune(paths, observer=observer)
     j, k = paths.decided, keep.size
     # a kept child's position in its frame says its bit; its parent is that position

@@ -25,12 +25,13 @@ grouped by frame; rows need not follow it.  The bank has one buffer for LLRs
 and one for sums, each frame owning a block of rows in both, and a slot map
 takes each path to its row, in the first rows of its frame's block (after
 Tal and Vardy's clonePath, and the pointer memory of Balatsoukas-Stimming,
-Bastani Parizi and Burg).  It starts with one path per frame, and pruning
-and path splitting go through ``take``, which copies a row only for a path
-taken twice, and a frame's rows whole only where its path count changes.
-Only two updates read the channel: those at bit 0, when rows and frames
-still line up, and the g-update at stage n-1, which reads each frame's
-channel row against that frame's block.
+Bastani Parizi and Burg), allocated once for the most paths the bank will
+hold.  It starts with one path per frame, and pruning and path splitting go
+through ``take``, which copies a row only for a path taken twice, and a
+frame's rows whole only where its path count changes.  Only two updates read
+the channel: those at bit 0, when rows and frames still line up, and the
+g-update at stage n-1, which reads each frame's channel row against that
+frame's block.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ _SIGN = np.array([1.0, -1.0])  # 1 - 2c for partial sum c
 # a bank of several frames makes a temporary of more elements than this (128 KiB of
 # LLRs) one frame at a time, so that a batch's heap grows with its bank and no more
 _SPLIT = 1 << 14
+_WHOLE = (slice(None),)  # the one key of a block made whole
 
 
 class ContractViolationError(RuntimeError):
@@ -102,13 +104,14 @@ class ScBank:
     The updates run over the live rows in place, whatever their order, and
     ``take`` moves as few rows as it can (see there).  A bank of several
     frames makes its large temporaries (a g-update's sign block, the
-    combining rule's, a growth's copy) one frame at a time, so that its heap
-    grows with its rows and no more.  ``llr`` and ``beta`` are the live
-    rows, (rows, N - 1) each, with a leading frame axis when ``channel`` has
-    one; ``paths`` returns them in path order.  ``capacity`` reserves the
-    rows, over all frames, so that ``take`` within it allocates no bank
-    (fresh arrays at every information bit cost page faults under glibc's
-    default malloc settings).
+    combining rule's, a growth's copy, a gather's) one frame at a time, so
+    that its heap grows with its rows and no more.  ``llr`` and ``beta`` are
+    the live rows, (rows, N - 1) each, with a leading frame axis when
+    ``channel`` has one; ``paths`` returns them in path order.
+    ``capacity`` is the most paths the bank holds, over all frames (rounded
+    up to a whole number per frame).  Both buffers are allocated for it here
+    and never again (fresh arrays at every information bit cost page faults
+    under glibc's default malloc settings); ``take`` rejects more paths.
     """
 
     def __init__(self, channel_llrs, combining: str = "min-sum", capacity: int = 1):
@@ -134,7 +137,13 @@ class ScBank:
         # read against the live rows' blocks: (rows, w) for one frame, else (frames, rows, w),
         # each frame's channel row against that frame's rows
         self._channel = llrs.reshape(N) if frames == 1 else llrs.reshape(frames, 1, N)
-        self._allocate(-(-capacity // frames))
+        # the reserve, rows per frame; beta's first: glibc's default malloc then reuses a
+        # freed bank, not trims and refaults it
+        self._cap = -(-capacity // frames)
+        self._beta_buf = np.empty((frames, self._cap, N - 1), dtype=np.int8)
+        self._llr_buf = np.empty((frames, self._cap, N - 1))
+        self._beta_rows = self._beta_buf.reshape(frames * self._cap, N - 1)
+        self._llr_rows = self._llr_buf.reshape(frames * self._cap, N - 1)
         self._resize(1)
         self._llr[:] = 0.0
         self._beta[:] = 0
@@ -143,14 +152,6 @@ class ScBank:
         self._pending = False
         self._stage = 0
 
-    def _allocate(self, rows: int) -> None:
-        """Fresh buffers of ``rows`` rows per frame: (frames, rows, N - 1), and their flat views."""
-        # beta's first: glibc's default malloc then reuses a freed bank, not trims and refaults it
-        self._beta_buf = np.empty((self.frames, rows, self.N - 1), dtype=np.int8)
-        self._llr_buf = np.empty((self.frames, rows, self.N - 1))
-        self._beta_rows = self._beta_buf.reshape(self.frames * rows, self.N - 1)
-        self._llr_rows = self._llr_buf.reshape(self.frames * rows, self.N - 1)
-
     def _resize(self, rows: int, slots=None) -> None:
         """Make the first ``rows`` rows of each frame's block live, and ``slots`` the slot map.
 
@@ -158,8 +159,8 @@ class ScBank:
         None means path i is flat row i, which takes the live rows to be one
         contiguous run: one frame, or full blocks.
         """
-        if slots is None and self.frames > 1 and rows < self._llr_buf.shape[1]:
-            slots = (np.arange(self.frames)[:, None] * self._llr_buf.shape[1]
+        if slots is None and self.frames > 1 and rows < self._cap:
+            slots = (np.arange(self.frames)[:, None] * self._cap
                      + np.arange(rows)).ravel()
         self._rows = rows
         self._slots = slots
@@ -211,11 +212,12 @@ class ScBank:
                 f"a node of {width} bits cannot start at bit {t} of {self.N}")
         # the g-update's stage, t's lowest set bit; bit 0 has none, its rows one per frame
         top = (t & -t).bit_length() - 1 if t else self.n
-        if self.frames > 1 and self.n_paths << top > _SPLIT:
-            for f in range(self.frames):
-                self._recurse(self._llr[f], self._beta[f], self._channel[f], t, top, stage)
-        else:
+        parts = self._parts(self.n_paths << top)
+        if parts is _WHOLE:  # no views: one per step showed in traced page faults
             self._recurse(self._llr, self._beta, self._channel, t, top, stage)
+        else:
+            for f in parts:
+                self._recurse(self._llr[f], self._beta[f], self._channel[f], t, top, stage)
         self._pending = True
         self._stage = stage
         if stage == self.n:
@@ -287,8 +289,9 @@ class ScBank:
         """Keep only the given paths, in the given order (repeats allowed).
 
         ``rows`` lists, for each new path, the path it copies; each frame
-        keeps as many paths as every other, taken from its own.  A take does
-        one of three things:
+        keeps as many paths as every other, taken from its own, and no more
+        than ``capacity`` are kept in all (``IndexError``).  A take does one
+        of three things:
 
         - Growth, where each frame takes its paths, then its paths again:
           each frame's live rows are copied, as one slice, to the rows after
@@ -302,6 +305,8 @@ class ScBank:
         rows = np.asarray(rows, dtype=np.intp)
         frames, live = self.frames, self._rows
         n, k = frames * live, rows.size
+        if k > frames * self._cap:
+            raise IndexError(f"{k} paths exceed the bank's {frames * self._cap} reserved rows")
         if k == 2 * n and rows.tobytes() == _growth(frames, live):  # cheaper than a ufunc
             self._grow()
             return
@@ -323,15 +328,15 @@ class ScBank:
         else:
             self._gather(rows, k // frames)
 
+    def _parts(self, elements: int):
+        """Keys of a block over all frames: the whole, or past ``_SPLIT`` elements each frame."""
+        return range(self.frames) if self.frames > 1 and elements > _SPLIT else _WHOLE
+
     def _grow(self) -> None:
         live = self._rows
-        if self._llr_buf.shape[1] < 2 * live:
-            self._gather(np.frombuffer(_growth(self.frames, live), dtype=np.intp), 2 * live)
-            return
         # over several frames the two row ranges interleave in memory, so numpy copies the
         # source to a temporary first: as large as the live rows
-        frames = [slice(None)] if self.n_paths * (self.N - 1) <= _SPLIT else range(self.frames)
-        for f in frames:
+        for f in self._parts(self.n_paths * (self.N - 1)):
             self._llr_buf[f, live : 2 * live] = self._llr_buf[f, :live]
             self._beta_buf[f, live : 2 * live] = self._beta_buf[f, :live]
         slots = self._slots
@@ -365,18 +370,12 @@ class ScBank:
 
     def _gather(self, rows, keep: int) -> None:
         """Gather the paths ``rows`` into the first ``keep`` rows of each frame's block."""
-        src = rows if self._slots is None else self._slots.take(rows)
-        if self._llr_buf.shape[1] < keep:
-            llr, beta = self._llr_rows, self._beta_rows
-            self._allocate(keep)
-            np.take(llr, src, axis=0, out=self._llr_rows)
-            np.take(beta, src, axis=0, out=self._beta_rows)
-        else:
-            # the kept rows overwrite live ones, so they are gathered first: into a fresh
-            # array, which costs less than np.take's own copy when out overlaps its input
-            src = src.reshape(self.frames, keep)
-            self._llr_buf[:, :keep] = self._llr_rows.take(src, axis=0)
-            self._beta_buf[:, :keep] = self._beta_rows.take(src, axis=0)
+        src = (rows if self._slots is None else self._slots.take(rows)).reshape(self.frames, keep)
+        # the kept rows overwrite live ones, so they are gathered first: into a fresh
+        # array, which costs less than np.take's own copy when out overlaps its input
+        for f in self._parts(rows.size * (self.N - 1)):
+            self._llr_buf[f, :keep] = self._llr_rows.take(src[f], axis=0)
+            self._beta_buf[f, :keep] = self._beta_rows.take(src[f], axis=0)
         self._resize(keep)
 
 

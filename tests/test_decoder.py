@@ -27,6 +27,7 @@ from pactrellis.pac_core import (
     rate_profile_insert,
 )
 from pactrellis.sc_engine import ScBank
+from pactrellis.sim import SimPlan, batch_size
 
 
 def noiseless_llrs(code, d, mag=60.0):
@@ -37,6 +38,7 @@ def build_pathset(code, metrics, states, config=DecoderConfig()):
     """Hand-built PathSet for prune tests; bank rows are placeholders."""
     ps = PathSet(np.ones(code.N), code, config)
     P = len(metrics)
+    ps.bank = ScBank(np.ones(code.N), capacity=P)  # a bank reserves its rows when it is made
     ps.bank.take(np.zeros(P, dtype=np.intp))
     ps.metrics = np.asarray(metrics, dtype=float)
     ps.states = np.asarray(states, dtype=np.int64)
@@ -729,25 +731,32 @@ class TestBatch:
         wide = PathSet(np.ones(16), code, DecoderConfig("global", 1 << 15))
         assert wide.parents.shape == (16, 1 << 15) and wide.parents.dtype == np.intp
 
-    def test_batch_at_the_bank_cap_stays_within_its_memory(self):
-        # SCL-32 on PAC(1024,512) decodes 4 frames a batch in a bank of 128 x 1,023 row
-        # slots.  A 2-frame batch of the two-sided bank peaked at 1,908 KiB; one decode of
-        # the 4-frame batch reads about 1,640 KiB and must stay within 1,700: it makes its
-        # large temporaries one frame at a time and frees the g-update's sign block before
-        # the f-updates (without either it read 2,150 and 1,770 KiB)
-        code = PacCode.rm(10, 512, 0o133)
-        cfg = DecoderConfig("global", 32)
-        x = np.stack([make_trial(code, 2.0, np.random.default_rng(i))[1] for i in range(4)])
-        decode(x, code, cfg)  # the cached schedule and tables are made here
+    @pytest.mark.parametrize("n, K, config", [
+        (10, 512, DecoderConfig("global", 32)),  # SCL-32: 4 frames
+        (7, 64, DecoderConfig("local", 2)),  # LVA-128: 8 frames
+        (7, 64, DecoderConfig("local", 1)),  # VA: 16 frames
+    ], ids=["scl32-n1024", "lva128-n128", "va-n128"])
+    def test_batch_at_the_bank_cap_stays_within_its_memory(self, n, K, config):
+        # a batch that sim decodes in a bank of 128 x 1,023 row slots.  A 2-frame SCL-32
+        # batch of the two-sided bank peaked at 1,908 KiB; one decode of each batch reads
+        # about 1,640-1,660 KiB and must stay within 1,700: the bank makes its large
+        # temporaries one frame at a time and frees the g-update's sign block before the
+        # f-updates (without either, SCL-32 read 2,150 and 1,770 KiB).  LVA-128 and VA
+        # read about 1,920 KiB with shrinking cuts gathered whole, and 1,730 with the
+        # children's penalties in an array of their own
+        code = PacCode.rm(n, K, 0o133)
+        frames = batch_size(SimPlan(code, config, (2.0,)))
+        x = np.stack([make_trial(code, 2.0, np.random.default_rng(i))[1] for i in range(frames)])
+        decode(x, code, config)  # the cached schedule and tables are made here
         tracemalloc.start()
         try:
-            batch = decode(x, code, cfg)
+            batch = decode(x, code, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1700 << 10
         for row, frame in enumerate(x):  # the frame-by-frame parts decode as one frame alone
-            one = decode(frame, code, cfg)
+            one = decode(frame, code, config)
             assert np.array_equal(batch.d_hat[row], one.d_hat)
             assert batch.metric[row] == one.metric
 

@@ -269,7 +269,7 @@ class TestNodeUpdates:
 class TestBankBatching:
     def test_rows_evolve_independently(self, rng):
         llrs = rng.normal(0, 1, 8)
-        bank = ScBank(llrs)
+        bank = ScBank(llrs, capacity=2)
         bank.update_llrs()
         bank.take(np.array([0, 0]))
         bank.update_partial_sums(np.array([0, 1], dtype=np.int8))
@@ -282,7 +282,7 @@ class TestBankBatching:
             assert lam[row] == sc.update_llrs()[0]
 
     def test_take_reorders_rows(self, rng):
-        bank = ScBank(rng.normal(0, 1, 4))
+        bank = ScBank(rng.normal(0, 1, 4), capacity=2)
         bank.update_llrs()
         bank.take(np.array([0, 0]))
         bank.update_partial_sums(np.array([0, 1], dtype=np.int8))
@@ -290,11 +290,13 @@ class TestBankBatching:
         bank.take(np.array([1, 0]))
         assert np.array_equal(bank.paths()[1], before[[1, 0]])
 
-    def test_take_within_and_beyond_capacity(self, rng):
-        # takes within the reserved rows and past them keep the paths in the given order
+    def test_take_within_capacity(self, rng):
+        # growths, gathers and cuts that keep the count, up to the reserved rows, keep the
+        # paths in the given order
         bank = ScBank(rng.normal(0, 1, 8), capacity=4)
         bank.update_llrs()
-        for rows in ([0, 0], [1, 0, 1, 0], [3, 2, 1, 0, 0, 1], [5, 4]):
+        for rows in ([0, 0], [1, 0, 1, 0], [3, 2, 1], [2, 0, 0, 1], [3, 2], [0, 1, 0, 1],
+                     [3, 3, 0, 1]):
             # tag each row so that the gathered order shows
             bank.llr[:, 0] = np.arange(bank.n_paths)
             bank.beta[:, 0] = np.arange(bank.n_paths) % 2
@@ -324,9 +326,10 @@ class TestBankBatching:
         assert np.array_equal(bank.paths()[0], paths_before[twice])
 
     def test_take_rejects_out_of_range_rows(self, rng):
-        bank = ScBank(rng.normal(0, 1, 4))
+        # rows past the live paths, negative rows, and more paths than the bank reserves
+        bank = ScBank(rng.normal(0, 1, 4), capacity=2)
         bank.take([0, 0])
-        for rows in ([2], [0, -1]):
+        for rows in ([2], [0, -1], [0, 1, 0]):
             with pytest.raises(IndexError):
                 bank.take(np.array(rows))
 
