@@ -26,6 +26,12 @@ path count after every step depends only on the schedule and the budget, so
 every frame holds the same number of rows, and each step runs over all of
 them at once.  Each frame's rows keep the order they would have alone.
 
+What the code and config fix is worked out once, per code, config and frame
+count, and cached (``step_plan``): each step's node, its path counts, whether
+it grows or cuts and the cut's groups, and, under per-state sorting, every
+register state and its table rows, one frame's for all.  ``decode`` walks
+that plan; only metrics, and the survivors they choose, are left to compute.
+
 Rows keep their order, so a row's position is its age: a v = 0 child takes
 its parent's row, the v = 1 children follow every older path, and a cut
 keeps its survivors in order.  An exact metric tie goes to the earlier row,
@@ -65,6 +71,8 @@ __all__ = [
     "decode",
     "node_schedule",
     "node_tables",
+    "Step",
+    "step_plan",
 ]
 
 SORTING_MODES = ("local", "global")
@@ -204,6 +212,162 @@ def node_tables(g: tuple, n: int) -> tuple:
     return tuple(tables)
 
 
+def _table_rows(tables: tuple, stage: int, states) -> tuple:
+    """(2X - 1, X) of the v = 0 extension over a node of 2^stage bits from each of ``states``.
+
+    ``tables`` are ``node_tables``', which keep the first min(2^stage, m)
+    columns: 2X - 1 covers those, and X the whole node (0 past them).  A bit
+    gives one value of each per state.
+    """
+    x, sign, head = tables[stage]
+    if stage and head < 1 << stage:
+        xs = np.zeros((len(states), 1 << stage), dtype=np.int8)
+        xs[:, :head] = x.take(states, axis=0)
+    else:
+        xs = x.take(states, axis=0)
+    return sign.take(states, axis=0), xs
+
+
+def _row_dtype(rows: int):
+    """The dtype of the backpointers' parent rows: narrow where ``rows`` allow."""
+    return np.int16 if rows < 1 << 15 else np.intp
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Step:
+    """One step of a decode plan: a node, and what code, config and frame count fix about it.
+
+    ``stage`` and ``info`` are the node's (``node_schedule``) and ``paths``
+    the paths each frame holds once the step is done.  The plan knows the
+    register states on entry under local sorting, and under global sorting
+    until the first cut, after which metrics decide which paths survive.
+    Where it knows them, ``states`` holds one frame's, which every frame
+    shares, in the narrowest unsigned dtype; ``signs`` and ``xs`` are their
+    rows of the node's tables (``_table_rows``), both int8 and over the
+    whole node, ``children`` an information step's children's states before
+    any cut, ``after`` the states once the step is done and ``child_xs`` a
+    growth's children's X.  An information step that keeps every child (a
+    growth) holds the backpointers it writes over all frames, ``parents``
+    and ``bits``; one that cuts holds ``cut``: its group count over all
+    frames, the group width and each group's first row (None for one
+    group).  Every array is read-only, and steps of one kind share one
+    record.  Off plan (a step function called alone), a step names only its
+    node, of one bit.
+    """
+
+    stage: int
+    info: bool
+    paths: int | None = None
+    states: np.ndarray | None = None
+    signs: np.ndarray | None = None
+    xs: np.ndarray | None = None
+    children: np.ndarray | None = None
+    after: np.ndarray | None = None
+    child_xs: np.ndarray | None = None
+    parents: np.ndarray | None = None
+    bits: np.ndarray | None = None
+    cut: tuple | None = None
+
+
+_ONE_BIT = (Step(0, False), Step(0, True))  # the off-plan steps, by info
+
+
+def step_plan(code: PacCode, config: DecoderConfig, frames: int = 1) -> tuple:
+    """The ``Step`` records that ``decode`` walks for ``frames`` frames of ``code``, cached.
+
+    Each frame's path count after every step, each cut's groups and, under
+    local sorting, every register state depend on the code's node schedule
+    and the config alone (see ``prune``), so they are worked out here, once.
+    """
+    return _plan(code, config.node_steps, config.sorting, config.list_size, frames)
+
+
+@lru_cache(maxsize=64)
+def _plan(code: PacCode, nodes: bool, sorting: str, list_size: int, frames: int) -> tuple:
+    """``step_plan``: one frame's steps, with the arrays that span every frame added."""
+    rows = DecoderConfig(sorting, list_size).paths_per_frame(code) * frames
+    made, growth, offsets, steps = {}, {}, {}, []
+    for one in _frame_steps(code, nodes, sorting, list_size):
+        step = made.get(id(one))
+        if step is None:
+            stage, info, per, paths, states, signs, xs, children, after, child_xs, groups = one
+            parents = bits = cut = None
+            if info and not groups:  # a growth: each frame's parents, then its parents again
+                if per not in growth:
+                    pos = np.arange(2 * per)
+                    frame = np.arange(0, frames * per, per)[:, None]
+                    parents = (pos % per + frame).ravel().astype(_row_dtype(rows))
+                    growth[per] = _read_only(parents), _read_only(np.tile(pos >= per, frames))
+                parents, bits = growth[per]
+            elif info:
+                total, width = groups * frames, 2 * per // groups
+                if (total, width) not in offsets:
+                    offsets[total, width] = _read_only(
+                        np.arange(0, total * width, width)[:, None]) if total > 1 else None
+                cut = (total, width, offsets[total, width])
+            step = made[id(one)] = Step(stage, info, paths, states, signs, xs, children, after,
+                                        child_xs, parents, bits, cut)
+        steps.append(step)
+    return tuple(steps)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=64)
+def _frame_steps(code: PacCode, nodes: bool, sorting: str, list_size: int) -> tuple:
+    """One frame's walk of the node schedule, in one forward pass, for ``_plan``.
+
+    Per step: (stage, info, paths on entry, paths after, states, signs, xs,
+    children, after, child_xs, groups), with ``Step``'s meanings, and groups
+    the cut's groups (0 for a growth, None for a Rate-0 step).  Equal arrays
+    are one array and steps of one kind one tuple, so a plan of K steps holds
+    few of either.
+    """
+    tables = node_tables(code.g, code.n)
+    budget = DecoderConfig(sorting, list_size).paths_per_frame(code)
+    high = (1 << code.m) >> 1  # register bit that v = 1 sets (0 when m = 0)
+    arrays, kinds, steps = {}, {}, []
+
+    def intern(a):
+        return arrays.setdefault((a.dtype.str, a.shape, a.tobytes()), _read_only(a))
+
+    # states in the narrowest unsigned dtype: the plan holds many of them
+    per, states = 1, intern(np.zeros(1, dtype=np.min_scalar_type(max(high << 1, 1) - 1)))
+    for stage, info in node_schedule(code, nodes):
+        key = (stage, info, per, id(states))  # interned: an array's id names its contents
+        if key not in kinds:
+            signs = xs = children = after = child_xs = groups = None
+            paths = per
+            if states is not None:
+                signs, xs = _table_rows(tables, stage, states)
+                if stage and signs.shape[1] < xs.shape[1]:  # 2X - 1 is -1 past the table's
+                    rest = np.full((len(states), xs.shape[1] - signs.shape[1]), -1.0)
+                    signs = np.concatenate((signs, rest), axis=1)
+                signs, xs = intern(signs.astype(np.int8)), intern(xs)
+                shifted = states >> tables[stage][2]
+                if info:
+                    children = intern(np.concatenate((shifted, shifted | high)))
+                else:
+                    after = intern(shifted)
+            if info and 2 * per <= budget:
+                groups, paths, after = 0, 2 * per, children
+                if xs is not None:
+                    child_xs = intern(np.concatenate((xs, xs ^ 1)))
+            elif info:  # the cut of prune: one group, or one per occupied state
+                groups = 1 if sorting == "global" else 1 << int(children[-1]).bit_count()
+                paths = groups * list_size
+                if sorting == "local":  # each group is one state, kept list_size times
+                    after = intern(children.reshape(groups, -1)[:, :list_size].ravel())
+            kinds[key] = (stage, info, per, paths, states, signs, xs, children, after, child_xs,
+                          groups)
+        steps.append(kinds[key])
+        per, states = kinds[key][3], kinds[key][8]
+    return tuple(steps)
+
+
 def hard_decision(llr):
     """Hard decision on a decision LLR: 0 for positive, 1 otherwise (zero maps to 1)."""
     out = np.where(np.asarray(llr, dtype=float) > 0, 0, 1).astype(np.int8)
@@ -230,7 +394,8 @@ class PathSet:
     ``parents`` and ``bits`` hold, per information bit, each survivor's
     parent row and decided bit, in the first ``decided`` rows of two
     (K, rows) tables; ``traceback`` reads messages back from them.
-    ``steps`` is the node schedule that ``decode`` walks for this code and config.
+    ``steps`` is the plan that ``decode`` walks for this code, config and
+    frame count (``step_plan``).
     ``per_frame`` is the most paths a frame holds (``DecoderConfig.paths_per_frame``).
     """
 
@@ -243,23 +408,41 @@ class PathSet:
         rows = self.per_frame * (llrs.shape[0] if llrs.ndim == 2 else 1)
         self.bank = ScBank(llrs, combining=config.combining_rule, capacity=rows)
         self.frames = self.bank.frames
-        self.states = np.zeros(self.frames, dtype=np.int64)
         self.metrics = np.zeros(self.frames, dtype=float)
-        self.parents = np.empty((code.K, rows), dtype=np.int16 if rows < 1 << 15 else np.intp)
+        self.parents = np.empty((code.K, rows), dtype=_row_dtype(rows))
         self.bits = np.empty((code.K, rows), dtype=bool)
         self.decided = 0
-        # after the bank: made by the first decode, these cached tables stay above its
-        # bank on the heap, so glibc's default malloc does not trim and re-fault the
+        # after the bank: made by the first decode, the cached plan and tables stay above
+        # its bank on the heap, so glibc's default malloc does not trim and re-fault the
         # bank between decodes
-        self.steps = node_schedule(code, config.node_steps)
+        self.steps = step_plan(code, config, self.frames)
         self._tables = node_tables(code.g, code.n)
         self._phi = _PHI[config.metric_mode]
         self._high = (1 << code.m) >> 1  # register bit that v = 1 sets (0 when m = 0)
+        # the register states: the plan's, one frame's for all (_planned), until metrics
+        # decide them or a caller reads them; then the path set's own (_states)
+        self._planned, self._states = self.steps[0].states, None
 
     @property
     def size(self) -> int:
         """Live paths over all frames."""
         return self.metrics.size
+
+    @property
+    def states(self) -> np.ndarray:
+        """Each path's register state, in path order.
+
+        While the plan holds them, the first read makes them from its one
+        frame; from then on the path set keeps them itself.
+        """
+        if self._states is None:
+            self._states = np.concatenate((self._planned,) * self.frames, dtype=np.int64)
+            self._planned = None
+        return self._states
+
+    @states.setter
+    def states(self, states) -> None:
+        self._states, self._planned = states, None
 
     def traceback(self, rows) -> np.ndarray:
         """The information bits decided so far along the paths that end in ``rows``.
@@ -281,42 +464,68 @@ class PathSet:
         return np.array(paths, dtype=np.int8).reshape(*rows.shape, self.decided)
 
 
-def _node_llrs(paths: PathSet, stage: int):
-    """z = (2X - 1) alpha over the bank's next node, of 2^stage bits, and X, both (paths, 2^stage).
+def _charge(paths: PathSet, step: Step, alpha, out):
+    """z = (2X - 1) alpha into ``out``; return each path's X and whether they are the plan's.
 
-    alpha is the node's LLR block and X the partial sums of its v = 0
-    extension, looked up by each path's register state on entry.  A bit
-    (stage 0) gives one value per path: its z and its u.
+    alpha is the LLR block of the step's node, (paths, 2^stage), or one
+    value per path for a bit, and ``out`` has its shape.  While the path
+    set's states are still the plan's, the signs and X are its arrays (see
+    ``_table_rows``), one frame's, which every frame shares, and X is
+    returned so; otherwise both are looked up by each path's state.  The
+    penalties phi(0, z) then overwrite ``out``.
     """
-    alpha = paths.bank.update_llrs(stage)
-    x, sign, _ = paths._tables[stage]
-    states = paths.states
-    head = x.shape[-1]
-    if not stage or head == alpha.shape[1]:
-        return sign[states] * alpha, x[states]
-    # past the register's m bits the state is 0, so X_j = 0 and z_j = -alpha_j
-    z = np.negative(alpha)
-    z[:, :head] = sign[states] * alpha[:, :head]
-    xs = np.zeros(alpha.shape, dtype=np.int8)
-    xs[:, :head] = x[states]
-    return z, xs
+    if step.signs is not None and paths._planned is step.states:
+        signs = step.signs
+        if paths.frames > 1:  # made whole, so that the product runs over contiguous blocks
+            signs = np.concatenate((signs,) * paths.frames, dtype=float)
+        np.multiply(signs, alpha, out=out)
+        return step.xs, True
+    signs, xs = _table_rows(paths._tables, step.stage, paths.states)
+    if step.stage and signs.shape[1] < alpha.shape[1]:
+        # past the register's m bits the state is 0, so X_j = 0 and z_j = -alpha_j
+        np.negative(alpha, out=out)
+        out, alpha = out[:, : signs.shape[1]], alpha[:, : signs.shape[1]]
+    np.multiply(signs, alpha, out=out)
+    return xs, False
 
 
-def _node_sum(penalties):
-    """Each path's node sum of per-LLR penalties; a bit's one penalty is its own sum."""
-    return penalties if penalties.ndim == 1 else penalties.sum(axis=1)
+def _node_sum(penalties, stage: int):
+    """Each path's node sum of per-LLR penalties (the last axis); a bit's one penalty is its own.
+
+    numpy sums fewer than 8 terms in order, and column adds in that order cost
+    less than its reduce.
+    """
+    if not stage:
+        return penalties
+    if stage > 2:
+        return penalties.sum(axis=-1)
+    total = np.add(penalties[..., 0], penalties[..., 1])
+    for j in range(2, 1 << stage):
+        np.add(total, penalties[..., j], out=total)
+    return total
 
 
-def extend_frozen(paths: PathSet, stage: int = 0) -> PathSet:
-    """Rate-0 step: extend every path with v = 0 over the next 2^stage bits.
+def _every_frame(a, frames: int):
+    """One frame's rows, repeated for every frame."""
+    return a if frames == 1 else np.concatenate((a,) * frames)
+
+
+def extend_frozen(paths: PathSet, step: Step | None = None) -> PathSet:
+    """Rate-0 step: extend every path with v = 0 over the step's node (one bit off plan).
 
     Charges each path its node sum, shifts its register state by the node
     width and commits the node's partial sums.
     """
-    z, x = _node_llrs(paths, stage)
-    paths.metrics += _node_sum(paths._phi(0.0, z))
-    paths.states >>= paths._tables[stage][2]
-    paths.bank.update_partial_sums(x)
+    step = step or _ONE_BIT[False]
+    alpha = paths.bank.update_llrs(step.stage)
+    z = np.empty(alpha.shape)
+    xs, planned = _charge(paths, step, alpha, z)
+    paths.metrics += _node_sum(paths._phi(0.0, z, out=z), step.stage)
+    if planned:
+        paths._planned = step.after
+    else:
+        paths.states >>= paths._tables[step.stage][2]
+    paths.bank.update_partial_sums(_every_frame(xs, paths.frames) if planned else xs)
     return paths
 
 
@@ -328,44 +537,69 @@ def _children(v0, v1, frames: int):
     return np.concatenate((v0.reshape(shape), v1.reshape(shape)), axis=1).reshape(-1, *v0.shape[1:])
 
 
-def extend_info(paths: PathSet, stage: int = 0, observer=None) -> PathSet:
-    """REP step: over the next 2^stage bits, frozen but the last, split every path in two.
+def extend_info(paths: PathSet, step: Step | None = None, observer=None) -> PathSet:
+    """REP step: split every path over the step's node (one bit off plan), frozen but its last bit.
 
     The children take v = 0 and v = 1 at the node's information bit, its
     last; both extend from the parent's register state on entry, and the
     v = 1 child's partial sums are the v = 0 child's, flipped.  The path
     arrays are replaced by the children's (per frame, v = 0 children first,
-    v = 1 children after them, both in parent order), and ``prune`` (given
-    ``observer``) selects among them; only then does the bank take the
-    survivors from their parents and commit their partial sums.
+    v = 1 children after them, both in parent order).  A growth in the
+    plan keeps them all and the bank grows; otherwise ``prune`` (given
+    ``observer``) selects among them, and only then does the bank take the
+    survivors from their parents.  Then it commits their partial sums.
     """
-    frames = paths.frames
+    step = step or _ONE_BIT[True]
+    frames, stage = paths.frames, step.stage
     per = paths.size // frames  # parents per frame
-    z, x = _node_llrs(paths, stage)
-    shifted = paths.states >> paths._tables[stage][2]
-    paths.states = _children(shifted, shifted | paths._high, frames)
-    z = _children(z, -z, frames)  # a fresh array, so the penalties overwrite it
-    paths.metrics = _children(paths.metrics, paths.metrics, frames) + _node_sum(
-        paths._phi(0.0, z, out=z))
-    del z  # not held through the cut and the bank's take
-    keep = prune(paths, observer=observer)
-    j, k = paths.decided, keep.size
+    alpha = paths.bank.update_llrs(stage)
+    z = np.empty((2, *alpha.shape))  # the v = 0 children's z, then the v = 1 children's
+    xs, planned = _charge(paths, step, alpha, z[0])
+    np.negative(z[0], out=z[1])
+    sums = _node_sum(paths._phi(0.0, z, out=z), stage)
+    del alpha, z  # not held through the cut and the bank's take
+    if frames == 1:
+        paths.metrics = np.add(sums, paths.metrics).reshape(-1)
+    else:  # per frame, its v = 0 children, then its v = 1 children
+        paths.metrics = np.add(sums.reshape(2, frames, per).transpose(1, 0, 2),
+                               paths.metrics.reshape(frames, 1, per), order="C").reshape(-1)
+    if planned:
+        paths._planned = step.children
+    else:
+        shifted = paths.states >> paths._tables[stage][2]
+        paths.states = _children(shifted, shifted | paths._high, frames)
+    j = paths.decided
+    if step.parents is not None:
+        k = step.parents.size
+        paths.parents[j, :k] = step.parents
+        paths.bits[j, :k] = step.bits
+        paths.decided = j + 1
+        paths.bank.grow()
+        x = _every_frame(step.child_xs, frames) if planned else _children(xs, xs ^ 1, frames)
+        paths.bank.update_partial_sums(x)
+        return paths
+    keep = prune(paths, step, observer)
+    k = keep.size
     # a kept child's position in its frame says its bit; its parent is that position
     # modulo the frame's parents, offset by the frame's first row
     if frames == 1:
-        pos, parent = keep, keep % per
+        pos = keep
+        parent = local = keep % per
     else:
         frame, pos = np.divmod(keep, 2 * per)
-        parent = pos % per + frame * per
+        local = pos % per
+        parent = local + frame * per
     bit = np.greater_equal(pos, per, out=paths.bits[j, :k])
     paths.parents[j, :k] = parent  # the bank's take and the sums below read parent as intp
     paths.decided = j + 1
     paths.bank.take(parent)
-    paths.bank.update_partial_sums(x[parent] ^ (bit if x.ndim == 1 else bit[:, None]))
+    x = xs.take(local if planned else parent, axis=0)
+    x ^= bit if x.ndim == 1 else bit[:, None]
+    paths.bank.update_partial_sums(x)
     return paths
 
 
-def prune(paths: PathSet, observer=None) -> np.ndarray:
+def prune(paths: PathSet, step: Step | None = None, observer=None) -> np.ndarray:
     """Narrow the path arrays to the survivors; return the kept rows, in row order.
 
     All rows are kept while each frame is within ``paths.per_frame``, its
@@ -374,6 +608,7 @@ def prune(paths: PathSet, observer=None) -> np.ndarray:
     register state under local sorting, and each keeps its list_size smallest
     metrics, a tie going to the earlier row.  Only states and metrics are
     narrowed, not the bank; ``observer(states, metrics, keep)`` sees cuts.
+    A plan's ``step`` brings the cut's groups, worked out once.
 
     Under local sorting each frame's rows stay sorted by state, with equal
     counts in the occupied states, by induction: a shift keeps the states in
@@ -383,23 +618,30 @@ def prune(paths: PathSet, observer=None) -> np.ndarray:
     and whose other bits are 0, so the last row's state, all free bits set,
     counts the groups; every frame has the same states.
     """
-    cfg = paths.config
+    step = step or _ONE_BIT[True]
     size = paths.size
-    if size <= paths.per_frame * paths.frames:
+    if step.cut is not None:
+        groups, width, offsets = step.cut
+    elif size <= paths.per_frame * paths.frames:
         return np.arange(size)
-    groups = paths.frames
-    if cfg.sorting == "local":
-        groups <<= int(paths.states[-1]).bit_count()
-    width = size // groups
-    keep = paths.metrics.reshape(groups, width).argsort(kind="stable")[:, : cfg.list_size]
-    if groups > 1:  # positions in groups to rows; for one group the add would outcost the sort
-        keep = keep + np.arange(0, size, width)[:, None]
+    else:
+        groups = paths.frames
+        if paths.config.sorting == "local":
+            groups <<= int(paths.states[-1]).bit_count()
+        width = size // groups
+        offsets = np.arange(0, size, width)[:, None] if groups > 1 else None
+    keep = paths.metrics.reshape(groups, width).argsort(kind="stable")[:, : paths.config.list_size]
+    if offsets is not None:  # positions in groups to rows (for one group, no add)
+        keep = keep + offsets
     keep = keep.ravel()
     keep.sort()
     if observer is not None:
         observer(paths.states, paths.metrics, keep)
-    paths.states = paths.states[keep]
-    paths.metrics = paths.metrics[keep]
+    if paths._planned is not None and step.after is not None:
+        paths._planned = step.after
+    else:
+        paths.states = paths.states.take(keep)
+    paths.metrics = paths.metrics.take(keep)
     return keep
 
 
@@ -423,12 +665,13 @@ def decode(channel_llrs, code: PacCode, config: DecoderConfig,
     """Run the configured trellis decoder over one block of channel LLRs, or a batch of them.
 
     Decoding starts from a single zero-state, zero-metric path and walks the
-    code's node schedule (``node_schedule``), one step per node, each at the
-    bank's next undecided bit (``ScBank.t``): a Rate-0 node extends every
-    path, and a REP node splits every path at its information bit and
-    selects survivors.  A matched pair of rules (``DecoderConfig.node_steps``)
-    takes K steps when every frozen bit lies in a REP node, as on the
-    Reed-Muller profile; other pairs take N.
+    plan of the code's node schedule (``step_plan``, ``node_schedule``), one
+    step per node, each at the bank's next undecided bit (``ScBank.t``): a
+    Rate-0 node extends every path, and a REP node splits every path at its
+    information bit and, once the budget overflows, selects survivors.  A
+    matched pair of rules (``DecoderConfig.node_steps``) takes K steps when
+    every frozen bit lies in a REP node, as on the Reed-Muller profile;
+    other pairs take N.
     Returns the winner's message bits (read back by traceback), its v and
     u = conv(v, g), and its final metric.  The winner is each frame's first
     smallest metric (an argmin), so a tie goes to the earlier row, the older
@@ -444,12 +687,13 @@ def decode(channel_llrs, code: PacCode, config: DecoderConfig,
     see t as the last bit of the step's node, and every frame's rows.
     """
     paths = PathSet(channel_llrs, code, config)
-    for stage, info in paths.steps:
-        last = paths.bank.t + (1 << stage) - 1
-        if info:
-            extend_info(paths, stage, partial(prune_observer, last) if prune_observer else None)
+    watch = step_hook is not None or prune_observer is not None
+    for step in paths.steps:
+        last = paths.bank.t + (1 << step.stage) - 1 if watch else None
+        if step.info:
+            extend_info(paths, step, partial(prune_observer, last) if prune_observer else None)
         else:
-            extend_frozen(paths, stage)
+            extend_frozen(paths, step)
         if step_hook is not None:
             step_hook(last, paths)
     metrics = paths.metrics.reshape(paths.frames, -1)

@@ -51,7 +51,8 @@ COMBINING_RULES = ("min-sum", "exact")
 
 _SIGN = np.array([1.0, -1.0])  # 1 - 2c for partial sum c
 # a bank of several frames makes a temporary of more elements than this (128 KiB of
-# LLRs) one frame at a time, so that a batch's heap grows with its bank and no more
+# LLRs) in runs of whole frames of at most this many (one frame where a frame holds
+# more), so that a batch's heap grows with its bank and no more
 _SPLIT = 1 << 14
 _WHOLE = (slice(None),)  # the one key of a block made whole
 
@@ -61,8 +62,11 @@ class ContractViolationError(RuntimeError):
 
 
 def f_minsum(a, b, out=None):
-    """Check-node combine, min-sum rule: sign(a) sign(b) min(|a|, |b|) (into ``out`` if given)."""
-    return np.copysign(np.minimum(np.abs(a), np.abs(b)), np.multiply(a, b), out=out)
+    """Check-node combine, min-sum rule: sign(a) sign(b) min(|a|, |b|) (into ``out`` if given).
+
+    Evaluated as max(min(a, b), -max(a, b)): no sign product, so nothing overflows.
+    """
+    return np.maximum(np.minimum(a, b), np.negative(np.maximum(a, b)), out=out)
 
 
 def f_exact(a, b, out=None):
@@ -93,7 +97,10 @@ class ScBank:
     that tile 0 .. N-1 in order (s = 0, the default, for a bit).  The bank
     owns the position: a node starts at ``t``, the next undecided bit, and
     its commit advances ``t`` by the node's width 2^s.  Between the two
-    calls ``take`` keeps given paths (a path may be taken more than once).
+    calls ``take`` keeps given paths (a path may be taken more than once),
+    or ``grow`` takes every path twice.  What a node's updates touch (the
+    slots each stage reads and writes, the commit's slots and folds) depends
+    on N, s and the node's place in the tree, and is cached per kind.
 
     Paths have an order, grouped by frame: the one that ``take``, the
     blocks ``update_llrs`` returns and the sums ``update_partial_sums``
@@ -104,14 +111,16 @@ class ScBank:
     The updates run over the live rows in place, whatever their order, and
     ``take`` moves as few rows as it can (see there).  A bank of several
     frames makes its large temporaries (a g-update's sign block, the
-    combining rule's, a growth's copy, a gather's) one frame at a time, so
+    combining rule's, a growth's copy, a gather's) in runs of whole frames
+    of at most 2^14 elements each (one frame where a frame holds more), so
     that its heap grows with its rows and no more.  ``llr`` and ``beta`` are
     the live rows, (rows, N - 1) each, with a leading frame axis when
     ``channel`` has one; ``paths`` returns them in path order.
     ``capacity`` is the most paths the bank holds, over all frames (rounded
-    up to a whole number per frame).  Both buffers are allocated for it here
-    and never again (fresh arrays at every information bit cost page faults
-    under glibc's default malloc settings); ``take`` rejects more paths.
+    up to a whole number per frame), at least 1.  Both buffers are allocated
+    for it here and never again (fresh arrays at every information bit cost
+    page faults under glibc's default malloc settings); ``take`` rejects
+    more paths.
     """
 
     def __init__(self, channel_llrs, combining: str = "min-sum", capacity: int = 1):
@@ -123,6 +132,8 @@ class ScBank:
             raise ValueError(f"channel LLR length must be a power of two, got {N}")
         if frames < 1:
             raise ValueError("channel LLRs must hold at least one frame")
+        if capacity < 1:
+            raise ValueError(f"capacity must be at least 1 path, got {capacity}")
         bound = np.finfo(float).max / N**2  # also false for NaN and +-inf
         if not (np.abs(llrs) <= bound).all():
             raise ValueError(f"channel LLRs must be finite and at most {bound:.4g} in magnitude")
@@ -212,46 +223,42 @@ class ScBank:
                 f"a node of {width} bits cannot start at bit {t} of {self.N}")
         # the g-update's stage, t's lowest set bit; bit 0 has none, its rows one per frame
         top = (t & -t).bit_length() - 1 if t else self.n
-        parts = self._parts(self.n_paths << top)
+        g, fs, block = _llr_updates(self.n, top, stage)
+        parts = self._parts(self._rows << top)
         if parts is _WHOLE:  # no views: one per step showed in traced page faults
-            self._recurse(self._llr, self._beta, self._channel, t, top, stage)
+            self._recurse(self._llr, self._beta, self._channel, g, fs)
         else:
             for f in parts:
-                self._recurse(self._llr[f], self._beta[f], self._channel[f], t, top, stage)
+                self._recurse(self._llr[f], self._beta[f], self._channel[f], g, fs)
         self._pending = True
         self._stage = stage
-        if stage == self.n:
+        if block is None:
             # a node of the whole code has no intermediate stage: its LLRs are the
             # channel's, one row per frame
-            block = np.broadcast_to(self.channel, (self.n_paths, width))
-        else:
-            block = self._llr_rows[:, width - 1 : 2 * width - 1]
-            block = block[self._paths] if self._slots is None else block.take(self._slots, axis=0)
-        return block if stage else block[:, 0]
+            llrs = np.broadcast_to(self.channel, (self.n_paths, width))
+            return llrs if stage else llrs[:, 0]
+        block = self._llr_rows[:, block]  # a bit's one slot gives one LLR per row
+        return block[self._paths] if self._slots is None else block.take(self._slots, axis=0)
 
-    def _recurse(self, llr, beta, channel, t: int, top: int, stage: int) -> None:
-        """The g-update at stage ``top`` (none at bit 0), then f-updates down to ``stage``.
+    def _recurse(self, llr, beta, channel, g, fs) -> None:
+        """The g-update ``g`` (None at bit 0), then the f-updates ``fs``, of one node.
 
         ``llr`` and ``beta`` are live rows, (rows, N - 1) or (frames, rows,
         N - 1), and ``channel`` is read against them (see ``__init__``).
+        Each update reads the two halves of the stage above, from the
+        channel or from ``llr``, and writes its own stage's block.
         """
-        src = channel  # the block that stage s reads: the channel for s = n - 1
-        if t:
-            w = 1 << top
-            dst = llr[..., w - 1 : 2 * w - 1]
-            if top + 1 < self.n:
-                src = llr[..., 2 * w - 1 : 4 * w - 1]
+        if g is not None:
+            lo, hi, dst, from_channel = g
+            src = channel if from_channel else llr
             # b + (1 - 2 beta) a, the sign read from a table by the committed partial sum;
             # the product goes into the sign's own block: one (rows, w) temporary, not two
-            sign = _SIGN[beta[..., w - 1 : 2 * w - 1]]
-            np.add(src[..., w:], np.multiply(sign, src[..., :w], out=sign), out=dst)
+            sign = _SIGN.take(beta[..., dst])
+            np.add(src[..., hi], np.multiply(sign, src[..., lo], out=sign), out=llr[..., dst])
             del sign  # not held through the f-updates below
-            src = dst
-        for s in range(top - 1, stage - 1, -1):
-            w = 1 << s
-            dst = llr[..., w - 1 : 2 * w - 1]
-            self._f(src[..., :w], src[..., w:], out=dst)
-            src = dst
+        for lo, hi, dst, from_channel in fs:
+            src = channel if from_channel else llr
+            self._f(src[..., lo], src[..., hi], out=llr[..., dst])
 
     def update_partial_sums(self, x) -> None:
         """Commit the partial sums of the node that ``update_llrs`` last computed.
@@ -263,25 +270,14 @@ class ScBank:
         if not self._pending:
             raise ContractViolationError(
                 f"update_partial_sums at bit {self._t} requires update_llrs first")
-        # the node's last bit closes a right block at each stage from the
-        # node's up to top (its trailing one bits); each folds into that
-        # stage's left block, filling the merged block from its right end, and
-        # the merged block parks at stage top
-        width = 1 << self._stage
-        last = self._t + width - 1
-        top = (~last & (last + 1)).bit_length() - 1  # trailing one bits of the last bit
-        if top < self.n:  # bit N - 1 would fold into stage n, which no later bit reads
-            end = (2 << top) - 1
-            rows = self._beta_rows
-            sums = rows[:, end - width : end] if self._stage else rows[:, end - 1]
-            sums[self._paths] = x
+        last = self._t + (1 << self._stage) - 1
+        high = (~last & (last + 1)).bit_length() - 1  # trailing one bits of the last bit
+        if high < self.n:  # bit N - 1 would fold into stage n, which no later bit reads
+            sums, folds = _commit(high, self._stage)
+            self._beta_rows[:, sums][self._paths] = x
             beta = self._beta
-            for s in range(self._stage, top):
-                w = 1 << s
-                np.bitwise_xor(
-                    beta[..., w - 1 : 2 * w - 1], beta[..., end - w : end],
-                    out=beta[..., end - 2 * w : end - w],
-                )
+            for a, b, out in folds:
+                np.bitwise_xor(beta[..., a], beta[..., b], out=beta[..., out])
         self._pending = False
         self._t = last + 1
 
@@ -294,8 +290,7 @@ class ScBank:
         of three things:
 
         - Growth, where each frame takes its paths, then its paths again:
-          each frame's live rows are copied, as one slice, to the rows after
-          them.
+          as ``grow``.
         - A cut that keeps the count: a path taken once stays in its row, and
           each further copy of a path goes into the row of a path not taken.
           No row moves unless a path is taken twice.
@@ -308,7 +303,7 @@ class ScBank:
         if k > frames * self._cap:
             raise IndexError(f"{k} paths exceed the bank's {frames * self._cap} reserved rows")
         if k == 2 * n and rows.tobytes() == _growth(frames, live):  # cheaper than a ufunc
-            self._grow()
+            self.grow()
             return
         if k == n:
             try:  # bincount rejects negative rows, and rows past n - 1 lengthen its count
@@ -328,15 +323,30 @@ class ScBank:
         else:
             self._gather(rows, k // frames)
 
-    def _parts(self, elements: int):
-        """Keys of a block over all frames: the whole, or past ``_SPLIT`` elements each frame."""
-        return range(self.frames) if self.frames > 1 and elements > _SPLIT else _WHOLE
+    def _parts(self, per_frame: int):
+        """Keys of a block of ``per_frame`` elements a frame: the whole, or runs of frames.
 
-    def _grow(self) -> None:
+        Past ``_SPLIT`` elements over all frames, each run holds as many
+        whole frames as fit in ``_SPLIT`` elements, and at least one.
+        """
+        frames = self.frames
+        if frames == 1 or per_frame * frames <= _SPLIT:
+            return _WHOLE
+        return _runs(frames, max(1, _SPLIT // per_frame))
+
+    def grow(self) -> None:
+        """Take every path twice: each frame keeps its paths, then takes them again.
+
+        Each frame's live rows are copied, as one slice, to the rows after
+        them; more paths than ``capacity`` raise ``IndexError``.
+        """
         live = self._rows
+        if 2 * live > self._cap:
+            raise IndexError(f"{2 * self.n_paths} paths exceed the bank's "
+                             f"{self.frames * self._cap} reserved rows")
         # over several frames the two row ranges interleave in memory, so numpy copies the
         # source to a temporary first: as large as the live rows
-        for f in self._parts(self.n_paths * (self.N - 1)):
+        for f in self._parts(live * (self.N - 1)):
             self._llr_buf[f, live : 2 * live] = self._llr_buf[f, :live]
             self._beta_buf[f, live : 2 * live] = self._beta_buf[f, :live]
         slots = self._slots
@@ -373,10 +383,59 @@ class ScBank:
         src = (rows if self._slots is None else self._slots.take(rows)).reshape(self.frames, keep)
         # the kept rows overwrite live ones, so they are gathered first: into a fresh
         # array, which costs less than np.take's own copy when out overlaps its input
-        for f in self._parts(rows.size * (self.N - 1)):
+        for f in self._parts(keep * (self.N - 1)):
             self._llr_buf[f, :keep] = self._llr_rows.take(src[f], axis=0)
             self._beta_buf[f, :keep] = self._beta_rows.take(src[f], axis=0)
         self._resize(keep)
+
+
+@lru_cache(maxsize=256)
+def _runs(frames: int, run: int) -> tuple:
+    """Keys of ``frames`` frames in runs of ``run``, the last run maybe shorter."""
+    return tuple(slice(f, f + run) for f in range(0, frames, run))
+
+
+@lru_cache(maxsize=1024)
+def _update(n: int, s: int) -> tuple:
+    """The slots of the update of stage s < n: (lo, hi, dst, from_channel).
+
+    It reads the halves lo and hi of the stage above, the channel's for
+    stage n - 1, and writes its own stage's slots dst.
+    """
+    w = 1 << s
+    if s + 1 == n:
+        return slice(0, w), slice(w, 2 * w), slice(w - 1, 2 * w - 1), True
+    above = 2 * w - 1  # where the stage above's block starts
+    return slice(above, above + w), slice(above + w, above + 2 * w), slice(w - 1, above), False
+
+
+@lru_cache(maxsize=1024)
+def _llr_updates(n: int, top: int, stage: int) -> tuple:
+    """(g, fs, block) of a node of 2^stage bits whose g-update is at stage ``top``.
+
+    The g-update (None at bit 0, where ``top`` is n), the f-updates down to
+    the node's stage (``_update`` each), and the node's slots: slot 0 for a
+    bit, None for a node of the whole code.
+    """
+    width = 1 << stage
+    return (_update(n, top) if top < n else None,
+            tuple(_update(n, s) for s in range(top - 1, stage - 1, -1)),
+            None if stage == n else slice(width - 1, 2 * width - 1) if stage else 0)
+
+
+@lru_cache(maxsize=1024)
+def _commit(high: int, stage: int) -> tuple:
+    """(sums, folds) of a node of 2^stage bits whose last bit has ``high`` trailing ones.
+
+    The node's last bit closes a right block at each stage from the node's
+    up to high; each folds, (a, b, out), into that stage's left block,
+    filling the merged block from its right end, and the merged block parks
+    at stage high.  ``sums`` are the slots the node's own sums go to.
+    """
+    end = (2 << high) - 1
+    return (slice(end - (1 << stage), end) if stage else end - 1,
+            tuple((slice((1 << s) - 1, (2 << s) - 1), slice(end - (1 << s), end),
+                   slice(end - (2 << s), end - (1 << s))) for s in range(stage, high)))
 
 
 @lru_cache(maxsize=256)

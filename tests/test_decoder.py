@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,6 +20,7 @@ from pactrellis.decoder import (
     node_schedule,
     node_tables,
     prune,
+    step_plan,
 )
 from pactrellis.pac_core import (
     PacCode,
@@ -519,11 +522,10 @@ class TestDecode:
     BOUND = np.finfo(float).max / 128**2
     SCALE = 2.0 ** (np.frexp(BOUND)[1] - 1)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
     def test_llrs_at_the_bound_decode_as_small_ones(self, rng):
         # min-sum with the approximate metric is scale-invariant: frames scaled by a power
-        # of two up to the bound decode to the same messages, with metrics scaled exactly
-        # (a sign product a*b inside f_minsum may overflow; only its sign is read)
+        # of two up to the bound decode to the same messages, with metrics scaled exactly,
+        # and nothing overflows on the way (the suite fails on a RuntimeWarning)
         code = PacCode.rm(7, 64, 0o133)
         llrs = np.stack([make_trial(code, 2.0, rng)[1] for _ in range(40)])
         llrs /= np.abs(llrs).max(axis=1, keepdims=True)
@@ -532,7 +534,6 @@ class TestDecode:
             assert np.array_equal(large.d_hat, small.d_hat)
             assert np.array_equal(large.metric, small.metric * self.SCALE)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
     @pytest.mark.parametrize("metric", ["approximate", "exact"])
     @pytest.mark.parametrize("combining", ["min-sum", "exact"])
     def test_noiseless_frames_at_the_bound(self, metric, combining, rng):
@@ -656,6 +657,126 @@ class TestNodeSchedule:
             for cfg in (DecoderConfig("global", 1), DecoderConfig("local", 2)):
                 res = decode(noiseless_llrs(code, d, mag=2.0), code, cfg)
                 assert np.array_equal(res.d_hat, d) and res.metric == 0.0
+
+
+class TestStepPlan:
+    """The cached plan holds what the decode itself sees: path counts, cuts and states."""
+
+    @staticmethod
+    def plan_cases():
+        rng = np.random.default_rng(0x91A7)
+        random = PacCode(6, 32, rng.choice(64, 32, replace=False), 0o133)  # Rate-0 nodes too
+        return [
+            (PacCode.rm(7, 64, 0o73), DecoderConfig("local", 1)),  # LVA32
+            (PacCode.rm(7, 64, 0o133), DecoderConfig("local", 2)),  # LVA-128
+            (PacCode.rm(7, 64, 0o133), DecoderConfig("global", 32)),  # LD32
+            (random, DecoderConfig("local", 2)),
+            (random, DecoderConfig("global", 8, "exact", "min-sum")),  # one bit a step
+        ]
+
+    @pytest.mark.parametrize("frames", [1, 3])
+    @pytest.mark.parametrize("case", range(5))
+    def test_path_counts_cuts_and_states_match_the_decode(self, case, frames, rng):
+        code, cfg = self.plan_cases()[case]
+        plan = step_plan(code, cfg, frames)
+        x = np.stack([make_trial(code, 1.5, rng)[1] for _ in range(frames)])
+        seen, cuts = [], []
+
+        def hook(t, ps):
+            seen.append(ps.size)
+
+        def observer(t, states, metrics, keep):
+            cuts.append((states.copy(), metrics.size, keep.size))
+
+        decode(x, code, cfg, step_hook=hook)  # reads no state: the decode stays on its plan
+        assert seen == [step.paths * frames for step in plan]
+        decode(x, code, cfg, prune_observer=observer)
+        planned = [step for step in plan if step.cut is not None]
+        assert len(cuts) == len(planned)
+        for step, (states, candidates, kept) in zip(planned, cuts):
+            groups, width, offsets = step.cut
+            assert groups * width == candidates and groups * cfg.list_size == kept
+            assert offsets is None if groups == 1 else np.array_equal(
+                offsets.ravel(), np.arange(0, candidates, width))
+            if cfg.sorting == "global":
+                assert groups == frames
+            else:  # one group per frame and state, and the plan's states are the decode's
+                assert (states.reshape(groups, width) == states[::width, None]).all()
+                assert np.array_equal(states, np.tile(step.children, frames))
+
+    @pytest.mark.parametrize("n, K, cfg, frames, count", [
+        (7, 64, DecoderConfig("local", 1), 1, 34),
+        (7, 64, DecoderConfig("local", 2), 1, 27),
+        (7, 64, DecoderConfig("global", 32), 1, 59),
+        (10, 512, DecoderConfig("global", 32), 1, 507),
+        (10, 512, DecoderConfig("global", 32), 4, 507),
+    ], ids=["lva32", "lva128", "ld32", "scl32-n1024", "scl32-n1024-x4"])
+    def test_cut_counts(self, n, K, cfg, frames, count, rng):
+        # LVA32 on 0o73, the others on 0o133; each cut keeps list_size of every group
+        code = PacCode.rm(n, K, 0o73 if cfg.list_size == 1 else 0o133)
+        plan = step_plan(code, cfg, frames)
+        x = np.stack([make_trial(code, 2.0, rng)[1] for _ in range(frames)])
+        cuts = []
+        decode(x, code, cfg, prune_observer=lambda t, s, metrics, keep: cuts.append(
+            (metrics.size, keep.size)))
+        expect = [(step.cut[0] * step.cut[1], step.cut[0] * cfg.list_size)
+                  for step in plan if step.cut is not None]
+        assert len(expect) == count and cuts == expect
+
+    def test_local_states_follow_the_plan(self, rng):
+        # a hook that reads the states takes them off the plan; they stay what it said
+        code, cfg = PacCode.rm(7, 64, 0o133), DecoderConfig("local", 2)
+        plan = step_plan(code, cfg, 2)
+        seen = []
+        decode(np.stack([make_trial(code, 1.5, rng)[1] for _ in range(2)]), code, cfg,
+               step_hook=lambda t, ps: seen.append(ps.states.copy()))
+        for step, states in zip(plan, seen):
+            assert np.array_equal(states, np.tile(step.after, 2))
+
+    def test_plan_is_built_once_and_read_only(self, rng):
+        code, cfg = PacCode.rm(6, 32, 0o133), DecoderConfig("local", 2)
+        plans = []
+        for _ in range(2):
+            decode(make_trial(code, 1.5, rng)[1], code, cfg,
+                   step_hook=lambda t, ps: plans.append(ps.steps))
+        assert all(plan is plans[0] for plan in plans)  # the second decode built none
+        assert plans[0] is step_plan(code, cfg, 1)
+        arrays = [value for step in plans[0] for value in
+                  (step.states, step.signs, step.xs, step.children, step.after, step.child_xs,
+                   step.parents, step.bits, *(step.cut[2:] if step.cut else ()))
+                  if value is not None]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+
+    def test_threads_decode_as_one(self):
+        # sim decodes on executor threads: threads that decode the same code and config at
+        # once, its plan built while they run, return what one thread does
+        code = PacCode(6, 20, np.random.default_rng(5).choice(64, 20, replace=False), 0o133)
+        cfg = DecoderConfig("local", 2)
+        rng = np.random.default_rng(7)
+        frames = [make_trial(code, 1.5, rng)[1] for _ in range(6)]
+        results, start = [[] for _ in range(4)], threading.Barrier(4)
+
+        def work(out):
+            start.wait()
+            out.extend(decode(x, code, cfg) for x in frames)
+
+        threads = [threading.Thread(target=work, args=(out,)) for out in results]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the build and the steps
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        alone = [decode(x, code, cfg) for x in frames]
+        for out in results:
+            assert len(out) == len(frames)
+            for got, expect in zip(out, alone):
+                assert np.array_equal(got.d_hat, expect.d_hat) and got.metric == expect.metric
+                assert np.array_equal(got.survivor_metrics, expect.survivor_metrics)
 
 
 BATCH_CONFIGS = [

@@ -74,6 +74,22 @@ class TestCombiners:
         expect = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
         assert np.array_equal(f_minsum(a, b), expect)
 
+    def test_minsum_equals_product_form_at_every_magnitude(self, rng):
+        # max(min(a, b), -max(a, b)) against copysign(min(|a|, |b|), a*b), whose product
+        # overflows past float max: equal values, and equal signs but for a zero out of
+        # two zeros; the max/min form itself warns at no magnitude
+        edge = np.array([0.0, 1e-200, 1.0, 1e300, 1.7e308])
+        edge = np.concatenate((edge, -edge))
+        wide = rng.normal(0, 3, (2, 10_000)) * 10.0 ** rng.integers(-300, 300, (2, 10_000))
+        a = np.concatenate((np.repeat(edge, edge.size), wide[0]))
+        b = np.concatenate((np.tile(edge, edge.size), wide[1]))
+        got = f_minsum(a, b)
+        with np.errstate(over="ignore"):
+            expect = np.copysign(np.minimum(np.abs(a), np.abs(b)), a * b)
+        assert np.array_equal(got, expect)
+        same = np.signbit(got) == np.signbit(expect)
+        assert (same | ((a == 0) & (b == 0))).all()
+
     def test_g_combine(self):
         # the g-update of bit 1 at N = 2: b + (1 - 2u) a for channel LLRs (a, b)
         for u, expect in ((0, 5.0), (1, 1.0)):
@@ -122,6 +138,12 @@ class TestScratchSmall:
         assert ScBank(np.full(8, -bound)).channel[0] == -bound
         with pytest.raises(ValueError, match="finite"):
             ScBank([1.0, 2 * bound, -2.0, 0.5, 1.0, 1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_rejects_an_empty_reserve(self, capacity):
+        # a bank with no row for its one starting path would return no decision LLR
+        with pytest.raises(ValueError, match="capacity"):
+            ScBank(np.ones(4), capacity=capacity)
 
 
 class TestPartialSumDuality:
@@ -305,6 +327,26 @@ class TestBankBatching:
             assert np.array_equal(bank.paths()[0], llr[rows])
             assert np.array_equal(bank.paths()[1], beta[rows])
 
+    @pytest.mark.parametrize("frames", [1, 3])
+    def test_grow_takes_every_path_twice(self, frames, rng):
+        # whatever the slot map, grow() leaves each frame its paths, then its paths again,
+        # and takes no more than the reserve
+        bank = ScBank(rng.normal(0, 1, (frames, 8)), capacity=4 * frames)
+        first = np.arange(frames)[:, None] * 2
+        bank.update_llrs()
+        bank.take(np.repeat(np.arange(frames), 2))
+        bank.update_partial_sums(rng.integers(0, 2, 2 * frames, dtype=np.int8))
+        bank.update_llrs()
+        bank.take((first + [1, 0]).ravel())  # a slot map that swaps each frame's two rows
+        llr, beta = bank.paths()
+        bank.grow()
+        assert bank.n_paths == 4 * frames
+        rows = (first + [0, 1, 0, 1]).ravel()
+        assert np.array_equal(bank.paths()[0], llr[rows])
+        assert np.array_equal(bank.paths()[1], beta[rows])
+        with pytest.raises(IndexError):
+            bank.grow()
+
     def test_cut_without_repeats_moves_no_row(self, rng):
         # a cut that keeps the count and takes no path twice leaves every row in place:
         # each survivor stays in its parent's row, and only the path order changes
@@ -431,12 +473,13 @@ def _replay(channel, combining, history, stage=None):
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), frames=st.integers(1, 3), n=st.integers(1, 4),
-       combining=st.sampled_from(["min-sum", "exact"]), split=st.sampled_from([0, 1 << 14]))
+       combining=st.sampled_from(["min-sum", "exact"]), split=st.sampled_from([0, 16, 1 << 14]))
 def test_bank_equals_one_row_bank_per_path(data, frames, n, combining, split):
     # a naive model: each path is its frame and the node sums committed along it, replayed
     # on a fresh one-row bank.  Random growths, cuts with repeated parents and other takes,
     # over 1-3 frames and random node widths, leave every path's node LLRs, LLRs and sums
-    # equal to its replay's, with the bank's large blocks done whole or frame by frame
+    # equal to its replay's, with the bank's large blocks done whole, frame by frame, or,
+    # at a split of 16 elements, in runs of two frames where a frame's block holds 6 to 8
     saved, sc_engine._SPLIT = sc_engine._SPLIT, split
     try:
         _check_against_replays(data, frames, n, combining)

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import pactrellis
+from pactrellis import decoder
+from pactrellis.pac_core import PacCode
 from pactrellis.sc_engine import ScBank
 
 MODULES = ["channel", "decoder", "pac_core", "sc_engine", "sim", "sorter"]
@@ -73,3 +75,22 @@ def test_bank_copy_count_reads_a_real_bank():
     load_tracing()._bank_after(None, (bank,), counts)
     # three rows of 7 LLRs (8 bytes each) and 7 partial sums (1 byte each)
     assert counts["sc_engine.bytes_copied"] == 3 * 7 * (8 + 1)
+
+
+@pytest.mark.parametrize("frames", [1, 3])
+def test_decode_calls_every_traced_engine_layer(frames):
+    # a traced run reads a layer that decode no longer calls as "not exercised"; on a code
+    # with Rate-0 and REP nodes, under a budget it outgrows, decode calls every decoder and
+    # bank function the tracer wraps, one frame or a batch
+    tracing = load_tracing()
+    engine = ("pactrellis.decoder", "pactrellis.sc_engine")
+    layers = [name for name, modname, *_ in tracing.LAYERS
+              if modname in engine and name not in GONE_LAYERS]
+    code = PacCode(6, 32, np.random.default_rng(3).choice(64, 32, replace=False), 0o133)
+    llrs = np.random.default_rng(4).normal(1.0, 1.0, (frames, code.N))
+    tracer = tracing.Tracer()
+    with tracer:
+        # through the module, as a caller in the package reaches it
+        decoder.decode(llrs[0] if frames == 1 else llrs, code, decoder.DecoderConfig("local", 2))
+    assert tracer.absent <= GONE_LAYERS  # every count hook ran, too
+    assert [name for name in layers if not tracer.calls[name]] == []
