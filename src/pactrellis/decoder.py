@@ -52,7 +52,7 @@ bit per step, where both sums are one term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from itertools import accumulate
 
@@ -286,28 +286,27 @@ def step_plan(code: PacCode, config: DecoderConfig, frames: int = 1) -> tuple:
 def _plan(code: PacCode, nodes: bool, sorting: str, list_size: int, frames: int) -> tuple:
     """``step_plan``: one frame's steps, with the arrays that span every frame added."""
     rows = DecoderConfig(sorting, list_size).paths_per_frame(code) * frames
-    made, growth, offsets, steps = {}, {}, {}, []
+    made, shared, steps = {}, {}, []  # shared: the growths' rows by size, the cuts' by shape
     for one in _frame_steps(code, nodes, sorting, list_size):
-        step = made.get(id(one))
-        if step is None:
-            stage, info, per, paths, states, signs, xs, children, after, child_xs, groups = one
-            parents = bits = cut = None
-            if info and not groups:  # a growth: each frame's parents, then its parents again
-                if per not in growth:
+        if id(one) not in made:
+            step = one
+            if one.info and one.cut is None:  # a growth: each frame's parents, then again
+                per = one.paths // 2
+                if per not in shared:
                     pos = np.arange(2 * per)
-                    frame = np.arange(0, frames * per, per)[:, None]
-                    parents = (pos % per + frame).ravel().astype(_row_dtype(rows))
-                    growth[per] = _read_only(parents), _read_only(np.tile(pos >= per, frames))
-                parents, bits = growth[per]
-            elif info:
-                total, width = groups * frames, 2 * per // groups
-                if (total, width) not in offsets:
-                    offsets[total, width] = _read_only(
-                        np.arange(0, total * width, width)[:, None]) if total > 1 else None
-                cut = (total, width, offsets[total, width])
-            step = made[id(one)] = Step(stage, info, paths, states, signs, xs, children, after,
-                                        child_xs, parents, bits, cut)
-        steps.append(step)
+                    parents = (pos % per + np.arange(0, frames * per, per)[:, None]).ravel()
+                    shared[per] = (_read_only(parents.astype(_row_dtype(rows))),
+                                   _read_only(np.tile(pos >= per, frames)))
+                step = replace(one, parents=shared[per][0], bits=shared[per][1])
+            elif one.info:  # a cut: its groups over every frame
+                cut = one.cut[0] * frames, one.cut[1]
+                if cut not in shared:
+                    groups, width = cut
+                    shared[cut] = (groups, width, None if groups == 1 else
+                                   _read_only(np.arange(0, groups * width, width)[:, None]))
+                step = replace(one, cut=shared[cut])
+            made[id(one)] = step
+        steps.append(made[id(one)])
     return tuple(steps)
 
 
@@ -318,13 +317,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _frame_steps(code: PacCode, nodes: bool, sorting: str, list_size: int) -> tuple:
-    """One frame's walk of the node schedule, in one forward pass, for ``_plan``.
+    """One frame's plan, made in one forward pass, for ``_plan``.
 
-    Per step: (stage, info, paths on entry, paths after, states, signs, xs,
-    children, after, child_xs, groups), with ``Step``'s meanings, and groups
-    the cut's groups (0 for a growth, None for a Rate-0 step).  Equal arrays
-    are one array and steps of one kind one tuple, so a plan of K steps holds
-    few of either.
+    A cut's ``cut`` counts one frame's groups and has no offsets, and a
+    growth has no backpointers.  Equal arrays are one array and steps of one
+    kind one record, so a plan of K steps holds few of either.
     """
     tables = node_tables(code.g, code.n)
     budget = DecoderConfig(sorting, list_size).paths_per_frame(code)
@@ -339,7 +336,7 @@ def _frame_steps(code: PacCode, nodes: bool, sorting: str, list_size: int) -> tu
     for stage, info in node_schedule(code, nodes):
         key = (stage, info, per, id(states))  # interned: an array's id names its contents
         if key not in kinds:
-            signs = xs = children = after = child_xs = groups = None
+            signs = xs = children = after = child_xs = cut = None
             paths = per
             if states is not None:
                 signs, xs = _table_rows(tables, stage, states)
@@ -353,18 +350,18 @@ def _frame_steps(code: PacCode, nodes: bool, sorting: str, list_size: int) -> tu
                 else:
                     after = intern(shifted)
             if info and 2 * per <= budget:
-                groups, paths, after = 0, 2 * per, children
+                paths, after = 2 * per, children
                 if xs is not None:
                     child_xs = intern(np.concatenate((xs, xs ^ 1)))
             elif info:  # the cut of prune: one group, or one per occupied state
                 groups = 1 if sorting == "global" else 1 << int(children[-1]).bit_count()
-                paths = groups * list_size
+                paths, cut = groups * list_size, (groups, 2 * per // groups, None)
                 if sorting == "local":  # each group is one state, kept list_size times
                     after = intern(children.reshape(groups, -1)[:, :list_size].ravel())
-            kinds[key] = (stage, info, per, paths, states, signs, xs, children, after, child_xs,
-                          groups)
+            kinds[key] = Step(stage, info, paths, states, signs, xs, children, after, child_xs,
+                              cut=cut)
         steps.append(kinds[key])
-        per, states = kinds[key][3], kinds[key][8]
+        per, states = kinds[key].paths, kinds[key].after
     return tuple(steps)
 
 
