@@ -15,7 +15,7 @@ from pactrellis import decoder
 from pactrellis.pac_core import PacCode
 from pactrellis.sc_engine import ScBank
 
-MODULES = ["channel", "decoder", "pac_core", "sc_engine", "sim", "sorter"]
+MODULES = ["channel", "decoder", "pac_core", "sc_engine", "schedule", "sim", "sorter"]
 TRACING = Path(__file__).resolve().parents[1] / "pacbench" / "tracing.py"
 # traced layers whose function is gone on purpose: take replaced ScBank.duplicate
 GONE_LAYERS = {"sc_engine.duplicate"}
