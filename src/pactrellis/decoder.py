@@ -267,29 +267,33 @@ class PathSet:
         return np.array(paths, dtype=np.int8).reshape(*rows.shape, self.decided)
 
 
-def _charge(paths: PathSet, step: Step, alpha, out):
-    """z = (2X - 1) alpha into ``out``; return each path's X and whether they are the plan's.
+def _charge(paths: PathSet, step: Step, alpha, blocks: int) -> tuple:
+    """z = (2X - 1) alpha; return (z, each path's X, whether they are the plan's).
 
     alpha is the LLR block of the step's node, (paths, 2^stage), or one
-    value per path for a bit, and ``out`` has its shape.  While the path
-    set's states are still the plan's, the signs and X are its arrays (see
-    ``_table_rows``), one frame's, which every frame shares, and X is
-    returned so; otherwise both are looked up by each path's state.  The
-    penalties phi(0, z) then overwrite ``out``.
+    value per path for a bit.  z has ``blocks`` blocks of alpha's shape, made
+    after the lookups (a split's children take two), and the product is the
+    first; the penalties phi(0, z) then overwrite z.  While the path set's
+    states are still the plan's, the signs and X are its arrays (see
+    ``table_rows``), one frame's, which every frame shares, and X is
+    returned so; otherwise both are looked up by each path's state.
     """
     if step.signs is not None and paths._planned is step.states:
-        signs = step.signs
+        signs, xs, planned = step.signs, step.xs, True
         if paths.frames > 1:  # made whole, so that the product runs over contiguous blocks
             signs = np.concatenate((signs,) * paths.frames, dtype=float)
-        np.multiply(signs, alpha, out=out)
-        return step.xs, True
-    signs, xs = table_rows(paths._tables, step.stage, paths.states)
-    if step.stage and signs.shape[1] < alpha.shape[1]:
-        # past the register's m bits the state is 0, so X_j = 0 and z_j = -alpha_j
-        np.negative(alpha, out=out)
-        out, alpha = out[:, : signs.shape[1]], alpha[:, : signs.shape[1]]
-    np.multiply(signs, alpha, out=out)
-    return xs, False
+    else:
+        signs, xs = table_rows(paths._tables, step.stage, paths.states)
+        planned = False
+        if step.stage and signs.shape[1] < alpha.shape[1]:
+            # past the register's m bits the state is 0, so X_j = 0 and 2X_j - 1 = -1;
+            # over the whole node the product runs over contiguous blocks
+            head, signs = signs, np.full(alpha.shape, -1.0)
+            signs[:, : head.shape[1]] = head
+            del head
+    z = np.empty((blocks, *alpha.shape))
+    np.multiply(signs, alpha, out=z[0])
+    return z, xs, planned
 
 
 def _node_sum(penalties, stage: int):
@@ -320,10 +324,8 @@ def extend_frozen(paths: PathSet, step: Step | None = None) -> PathSet:
     width and commits the node's partial sums.
     """
     step = step or _ONE_BIT[False]
-    alpha = paths.bank.update_llrs(step.stage)
-    z = np.empty(alpha.shape)
-    xs, planned = _charge(paths, step, alpha, z)
-    paths.metrics += _node_sum(paths._phi(0.0, z, out=z), step.stage)
+    z, xs, planned = _charge(paths, step, paths.bank.update_llrs(step.stage), 1)
+    paths.metrics += _node_sum(paths._phi(0.0, z[0], out=z[0]), step.stage)
     if planned:
         paths._planned = step.after
     else:
@@ -355,12 +357,11 @@ def extend_info(paths: PathSet, step: Step | None = None, observer=None) -> Path
     step = step or _ONE_BIT[True]
     frames, stage = paths.frames, step.stage
     per = paths.size // frames  # parents per frame
-    alpha = paths.bank.update_llrs(stage)
-    z = np.empty((2, *alpha.shape))  # the v = 0 children's z, then the v = 1 children's
-    xs, planned = _charge(paths, step, alpha, z[0])
+    # the v = 0 children's z, then the v = 1 children's
+    z, xs, planned = _charge(paths, step, paths.bank.update_llrs(stage), 2)
     np.negative(z[0], out=z[1])
     sums = _node_sum(paths._phi(0.0, z, out=z), stage)
-    del alpha, z  # not held through the cut and the bank's take
+    del z  # not held through the cut and the bank's take
     if frames == 1:
         paths.metrics = np.add(sums, paths.metrics).reshape(-1)
     else:  # per frame, its v = 0 children, then its v = 1 children
