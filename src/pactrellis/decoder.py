@@ -71,7 +71,6 @@ __all__ = [
     "decode",
     "node_schedule",
     "node_tables",
-    "Step",
     "step_plan",
 ]
 
