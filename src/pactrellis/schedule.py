@@ -207,7 +207,7 @@ def _frame_steps(code: PacCode, nodes: bool, sorting: str, list_size: int, budge
             paths = per
             if states is not None:
                 signs, xs = table_rows(tables, stage, states)
-                if stage and signs.shape[1] < xs.shape[1]:  # 2X - 1 is -1 past the table's
+                if stage and signs.shape[1] < xs.shape[1]:  # past the table, 2X - 1 = -1
                     rest = np.full((len(states), xs.shape[1] - signs.shape[1]), -1.0)
                     signs = np.concatenate((signs, rest), axis=1)
                 signs, xs = intern(signs.astype(np.int8)), intern(xs)
