@@ -26,11 +26,12 @@ path count after every step depends only on the schedule and the budget, so
 every frame holds the same number of rows, and each step runs over all of
 them at once.  Each frame's rows keep the order they would have alone.
 
-What the code and config fix is worked out once, per code, config and frame
-count, and cached (``step_plan``): each step's node, its path counts, whether
-it grows or cuts and the cut's groups, and, under per-state sorting, every
-register state and its table rows, one frame's for all.  ``decode`` walks
-that plan; only metrics, and the survivors they choose, are left to compute.
+What the code and config fix is worked out once, per code and config, and
+cached (``step_plan``): each step's node, its path counts, whether it grows
+or cuts and the cut's groups, and, under per-state sorting, every register
+state and its table rows.  The plan is one frame's, and serves every frame
+of a batch of any size.  ``decode`` walks it; only metrics, and the
+survivors they choose, are left to compute.
 
 Rows keep their order, so a row's position is its age: a v = 0 child takes
 its parent's row, the v = 1 children follow every older path, and a cut
@@ -53,13 +54,13 @@ bit per step, where both sums are one term.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .pac_core import PacCode, conv_transform, rate_profile_insert
 from .sc_engine import COMBINING_RULES, ScBank
-from .schedule import Step, node_schedule, node_tables, plan_steps, row_dtype, table_rows
+from .schedule import Step, node_tables, plan_steps, table_rows
 
 __all__ = [
     "DECODER_NAMES",
@@ -69,8 +70,6 @@ __all__ = [
     "hard_decision",
     "branch_metric",
     "decode",
-    "node_schedule",
-    "node_tables",
     "step_plan",
 ]
 
@@ -155,19 +154,24 @@ class DecoderConfig:
         return (self.combining_rule == "exact") == (self.metric_mode == "exact")
 
 
-_ONE_BIT = (Step(0, False), Step(0, True))  # the off-plan steps, by info
-
-
-def step_plan(code: PacCode, config: DecoderConfig, frames: int = 1) -> tuple:
-    """The ``Step`` records that ``decode`` walks for ``frames`` frames of ``code``, cached.
+def step_plan(code: PacCode, config: DecoderConfig) -> tuple:
+    """The ``Step`` records that ``decode`` walks for ``code``, one frame's, cached.
 
     Each frame's path count after every step, each cut's groups and, under
     local sorting, every register state depend on the code's node schedule
-    and the config alone (see ``prune``), so they are worked out once
-    (``schedule.plan_steps``).
+    and the config alone, so they are worked out once
+    (``schedule.plan_steps``) and serve every batch.
     """
     return plan_steps(code, config.node_steps, config.sorting, config.list_size,
-                      config.paths_per_frame(code), frames)
+                      config.paths_per_frame(code))
+
+
+@lru_cache(maxsize=256)
+def _offsets(groups: int, width: int) -> np.ndarray:
+    """Each of ``groups`` groups' first row, ``width`` rows apart, as a read-only column."""
+    offsets = np.arange(0, groups * width, width)[:, None]
+    offsets.flags.writeable = False
+    return offsets
 
 
 def hard_decision(llr):
@@ -196,9 +200,8 @@ class PathSet:
     ``parents`` and ``bits`` hold, per information bit, each survivor's
     parent row and decided bit, in the first ``decided`` rows of two
     (K, rows) tables; ``traceback`` reads messages back from them.
-    ``steps`` is the plan that ``decode`` walks for this code, config and
-    frame count (``step_plan``).
-    ``per_frame`` is the most paths a frame holds (``DecoderConfig.paths_per_frame``).
+    ``steps`` is the plan that ``decode`` walks for this code and config
+    (``step_plan``), one frame's, which every frame follows.
     """
 
     def __init__(self, channel_llrs, code: PacCode, config: DecoderConfig):
@@ -206,18 +209,18 @@ class PathSet:
         if llrs.ndim not in (1, 2) or llrs.shape[-1] != code.N:
             raise ValueError(f"expected {code.N} channel LLRs per frame, got shape {llrs.shape}")
         self.config = config
-        self.per_frame = config.paths_per_frame(code)
-        rows = self.per_frame * (llrs.shape[0] if llrs.ndim == 2 else 1)
+        rows = config.paths_per_frame(code) * (llrs.shape[0] if llrs.ndim == 2 else 1)
         self.bank = ScBank(llrs, combining=config.combining_rule, capacity=rows)
         self.frames = self.bank.frames
         self.metrics = np.zeros(self.frames, dtype=float)
-        self.parents = np.empty((code.K, rows), dtype=row_dtype(rows))
+        # parent rows: narrow where the rows allow
+        self.parents = np.empty((code.K, rows), dtype=np.int16 if rows < 1 << 15 else np.intp)
         self.bits = np.empty((code.K, rows), dtype=bool)
         self.decided = 0
         # after the bank: made by the first decode, the cached plan and tables stay above
         # its bank on the heap, so glibc's default malloc does not trim and re-fault the
         # bank between decodes
-        self.steps = step_plan(code, config, self.frames)
+        self.steps = step_plan(code, config)
         self._tables = node_tables(code.g, code.n)
         self._phi = _PHI[config.metric_mode]
         self._high = (1 << code.m) >> 1  # register bit that v = 1 sets (0 when m = 0)
@@ -273,9 +276,10 @@ def _charge(paths: PathSet, step: Step, alpha, blocks: int) -> tuple:
     value per path for a bit.  z has ``blocks`` blocks of alpha's shape, made
     after the lookups (a split's children take two), and the product is the
     first; the penalties phi(0, z) then overwrite z.  While the path set's
-    states are still the plan's, the signs and X are its arrays (see
-    ``table_rows``), one frame's, which every frame shares, and X is
-    returned so; otherwise both are looked up by each path's state.
+    states are still the plan's, the signs and X are its arrays, one
+    frame's, which every frame shares, and X is returned so; otherwise both
+    are looked up by each path's state (``table_rows``).  Either way the
+    signs cover the whole node.
     """
     if step.signs is not None and paths._planned is step.states:
         signs, xs, planned = step.signs, step.xs, True
@@ -284,12 +288,6 @@ def _charge(paths: PathSet, step: Step, alpha, blocks: int) -> tuple:
     else:
         signs, xs = table_rows(paths._tables, step.stage, paths.states)
         planned = False
-        if step.stage and signs.shape[1] < alpha.shape[1]:
-            # past the register's m bits the state is 0, so X_j = 0 and 2X_j - 1 = -1;
-            # over the whole node the product runs over contiguous blocks
-            head, signs = signs, np.full(alpha.shape, -1.0)
-            signs[:, : head.shape[1]] = head
-            del head
     z = np.empty((blocks, *alpha.shape))
     np.multiply(signs, alpha, out=z[0])
     return z, xs, planned
@@ -316,13 +314,12 @@ def _every_frame(a, frames: int):
     return a if frames == 1 else np.concatenate((a,) * frames)
 
 
-def extend_frozen(paths: PathSet, step: Step | None = None) -> PathSet:
-    """Rate-0 step: extend every path with v = 0 over the step's node (one bit off plan).
+def extend_frozen(paths: PathSet, step: Step) -> PathSet:
+    """Rate-0 step: extend every path with v = 0 over the node of the plan's ``step``.
 
     Charges each path its node sum, shifts its register state by the node
     width and commits the node's partial sums.
     """
-    step = step or _ONE_BIT[False]
     z, xs, planned = _charge(paths, step, paths.bank.update_llrs(step.stage), 1)
     paths.metrics += _node_sum(paths._phi(0.0, z[0], out=z[0]), step.stage)
     if planned:
@@ -341,19 +338,19 @@ def _children(v0, v1, frames: int):
     return np.concatenate((v0.reshape(shape), v1.reshape(shape)), axis=1).reshape(-1, *v0.shape[1:])
 
 
-def extend_info(paths: PathSet, step: Step | None = None, observer=None) -> PathSet:
-    """REP step: split every path over the step's node (one bit off plan), frozen but its last bit.
+def extend_info(paths: PathSet, step: Step, observer=None) -> PathSet:
+    """REP step: split every path over the node of the plan's ``step``, frozen but its last bit.
 
     The children take v = 0 and v = 1 at the node's information bit, its
     last; both extend from the parent's register state on entry, and the
     v = 1 child's partial sums are the v = 0 child's, flipped.  The path
     arrays are replaced by the children's (per frame, v = 0 children first,
-    v = 1 children after them, both in parent order).  A growth in the
-    plan keeps them all and the bank grows; otherwise ``prune`` (given
-    ``observer``) selects among them, and only then does the bank take the
-    survivors from their parents.  Then it commits their partial sums.
+    v = 1 children after them, both in parent order).  A growth keeps them
+    all: each frame writes the plan's backpointers, offset by its first
+    row, and the bank grows.  A cut has ``prune`` (given ``observer``)
+    select among them, and only then does the bank take the survivors from
+    their parents.  Then it commits their partial sums.
     """
-    step = step or _ONE_BIT[True]
     frames, stage = paths.frames, step.stage
     per = paths.size // frames  # parents per frame
     # the v = 0 children's z, then the v = 1 children's
@@ -372,11 +369,16 @@ def extend_info(paths: PathSet, step: Step | None = None, observer=None) -> Path
         shifted = paths.states >> paths._tables[stage][2]
         paths.states = _children(shifted, shifted | paths._high, frames)
     j = paths.decided
-    if step.parents is not None:
-        k = step.parents.size
-        paths.parents[j, :k] = step.parents
-        paths.bits[j, :k] = step.bits
-        paths.decided = j + 1
+    paths.decided = j + 1
+    if step.cut is None:  # a growth
+        k = paths.size
+        if frames == 1:
+            paths.parents[j, :k] = step.parents
+            paths.bits[j, :k] = step.bits
+        else:  # each frame's parents, offset by its first row
+            parents = paths.parents[j, :k].reshape(frames, -1)
+            np.add(step.parents, _offsets(frames, per), out=parents)
+            paths.bits[j, :k].reshape(frames, -1)[:] = step.bits
         paths.bank.grow()
         x = _every_frame(step.child_xs, frames) if planned else _children(xs, xs ^ 1, frames)
         paths.bank.update_partial_sums(x)
@@ -394,7 +396,6 @@ def extend_info(paths: PathSet, step: Step | None = None, observer=None) -> Path
         parent = local + frame * per
     bit = np.greater_equal(pos, per, out=paths.bits[j, :k])
     paths.parents[j, :k] = parent  # the bank's take and the sums below read parent as intp
-    paths.decided = j + 1
     paths.bank.take(parent)
     x = xs.take(local if planned else parent, axis=0)
     x ^= bit if x.ndim == 1 else bit[:, None]
@@ -402,40 +403,21 @@ def extend_info(paths: PathSet, step: Step | None = None, observer=None) -> Path
     return paths
 
 
-def prune(paths: PathSet, step: Step | None = None, observer=None) -> np.ndarray:
-    """Narrow the path arrays to the survivors; return the kept rows, in row order.
+def prune(paths: PathSet, step: Step, observer=None) -> np.ndarray:
+    """Cut the path arrays to the survivors of the plan's ``step``; return the kept rows, in order.
 
-    All rows are kept while each frame is within ``paths.per_frame``, its
-    budget or 2^K paths, whichever is fewer.  Over it, each frame's rows form
-    equal contiguous groups, one under global sorting and one per occupied
-    register state under local sorting, and each keeps its list_size smallest
-    metrics, a tie going to the earlier row.  Only states and metrics are
-    narrowed, not the bank; ``observer(states, metrics, keep)`` sees cuts.
-    A plan's ``step`` brings the cut's groups, worked out once.
-
-    Under local sorting each frame's rows stay sorted by state, with equal
-    counts in the occupied states, by induction: a shift keeps the states in
-    order, the v = 0 children's states all precede the v = 1 children's, and
-    a cut leaves list_size paths in every occupied state.  The occupied
-    states are those whose bits written at information bits take every value
-    and whose other bits are 0, so the last row's state, all free bits set,
-    counts the groups; every frame has the same states.
+    Each frame's rows form the equal contiguous groups of the step's cut
+    (``schedule.plan_steps``): one under global sorting, one per occupied
+    register state under local sorting.  Each group keeps its list_size
+    smallest metrics, a tie going to the earlier row.  Only states and
+    metrics are narrowed, not the bank; ``observer(states, metrics, keep)``
+    sees the cut.
     """
-    step = step or _ONE_BIT[True]
-    size = paths.size
-    if step.cut is not None:
-        groups, width, offsets = step.cut
-    elif size <= paths.per_frame * paths.frames:
-        return np.arange(size)
-    else:
-        groups = paths.frames
-        if paths.config.sorting == "local":
-            groups <<= int(paths.states[-1]).bit_count()
-        width = size // groups
-        offsets = np.arange(0, size, width)[:, None] if groups > 1 else None
+    groups, width = step.cut
+    groups *= paths.frames
     keep = paths.metrics.reshape(groups, width).argsort(kind="stable")[:, : paths.config.list_size]
-    if offsets is not None:  # positions in groups to rows (for one group, no add)
-        keep = keep + offsets
+    if groups > 1:  # positions in groups to rows (for one group, no add)
+        keep = keep + _offsets(groups, width)
     keep = keep.ravel()
     keep.sort()
     if observer is not None:

@@ -26,9 +26,10 @@ and one for sums, each frame owning a block of rows in both, and a slot map
 takes each path to its row, in the first rows of its frame's block (after
 Tal and Vardy's clonePath, and the pointer memory of Balatsoukas-Stimming,
 Bastani Parizi and Burg), allocated once for the most paths the bank will
-hold.  It starts with one path per frame, and pruning and path splitting go
-through ``take``, which copies a row only for a path taken twice, and a
-frame's rows whole only where its path count changes.  Only two updates read
+hold.  It starts with one path per frame.  Path splitting goes through
+``grow``, which copies each frame's rows as one slice, and pruning through
+``take``, which copies a row only for a path taken twice, and a frame's rows
+whole only where its path count changes.  Only two updates read
 the channel: those at bit 0, when rows and frames still line up, and the
 g-update at stage n-1, which reads each frame's channel row against that
 frame's block.
@@ -287,24 +288,20 @@ class ScBank:
         ``rows`` lists, for each new path, the path it copies; each frame
         keeps as many paths as every other, taken from its own, and no more
         than ``capacity`` are kept in all (``IndexError``).  A take does one
-        of three things:
+        of two things:
 
-        - Growth, where each frame takes its paths, then its paths again:
-          as ``grow``.
         - A cut that keeps the count: a path taken once stays in its row, and
           each further copy of a path goes into the row of a path not taken.
           No row moves unless a path is taken twice.
-        - Any other take gathers each frame's kept paths, in order, into the
-          first rows of its block.
+        - Any other take, a growth included, gathers each frame's kept
+          paths, in order, into the first rows of its block (``grow`` copies
+          a growth's rows as one slice).
         """
         rows = np.asarray(rows, dtype=np.intp)
         frames, live = self.frames, self._rows
         n, k = frames * live, rows.size
         if k > frames * self._cap:
             raise IndexError(f"{k} paths exceed the bank's {frames * self._cap} reserved rows")
-        if k == 2 * n and rows.tobytes() == _growth(frames, live):  # cheaper than a ufunc
-            self.grow()
-            return
         if k == n:
             try:  # bincount rejects negative rows, and rows past n - 1 lengthen its count
                 count = np.bincount(rows, minlength=n)
@@ -436,11 +433,3 @@ def _commit(high: int, stage: int) -> tuple:
     return (slice(end - (1 << stage), end) if stage else end - 1,
             tuple((slice((1 << s) - 1, (2 << s) - 1), slice(end - (1 << s), end),
                    slice(end - (2 << s), end - (1 << s))) for s in range(stage, high)))
-
-
-@lru_cache(maxsize=256)
-def _growth(frames: int, rows: int) -> bytes:
-    """The rows of a growth, as the bytes of an intp array: per frame its paths, twice over."""
-    pattern = np.arange(frames)[:, None] * rows + np.arange(2 * rows) % rows
-    return pattern.astype(np.intp).tobytes()
-

@@ -3,16 +3,17 @@
 The node schedule splits a code into Rate-0 and REP nodes (``node_schedule``);
 the node tables give the partial sums of a v = 0 extension over a node, by
 register state (``node_tables``).  The step plan (``plan_steps``) walks the
-schedule for one decoder configuration and frame count: each step's path
-counts, whether it grows or cuts, the cut's groups and, under per-state
-sorting, every register state and its table rows.  None of it depends on the
-channel LLRs, so ``decoder.decode`` reads it and computes only metrics and
-the survivors they choose.
+schedule for one decoder configuration: each step's path count per frame,
+whether it grows or cuts, a growth's backpointers, a cut's groups and, under
+per-state sorting, every register state and its table rows.  None of it
+depends on the channel LLRs or the frame count, so ``decoder.decode`` reads
+one plan for any batch and computes only metrics and the survivors they
+choose.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
@@ -25,7 +26,6 @@ __all__ = [
     "node_schedule",
     "node_tables",
     "plan_steps",
-    "row_dtype",
     "table_rows",
 ]
 
@@ -90,48 +90,42 @@ def table_rows(tables: tuple, stage: int, states) -> tuple:
     """(2X - 1, X) of the v = 0 extension over a node of 2^stage bits from each of ``states``.
 
     ``tables`` are ``node_tables``', which keep the first min(2^stage, m)
-    columns: 2X - 1 covers those, and X the whole node (0 past them).  A bit
-    gives one value of each per state.
+    columns; past them X = 0, so 2X - 1 = -1.  Both cover the whole node,
+    2X - 1 as floats and X as int8.  A bit gives one value of each per state.
     """
     x, sign, head = tables[stage]
     if stage and head < 1 << stage:
+        signs = np.full((len(states), 1 << stage), -1.0)
         xs = np.zeros((len(states), 1 << stage), dtype=np.int8)
+        signs[:, :head] = sign.take(states, axis=0)
         xs[:, :head] = x.take(states, axis=0)
-    else:
-        xs = x.take(states, axis=0)
-    return sign.take(states, axis=0), xs
-
-
-def row_dtype(rows: int):
-    """The dtype of the backpointers' parent rows: narrow where ``rows`` allow."""
-    return np.int16 if rows < 1 << 15 else np.intp
+        return signs, xs
+    return sign.take(states, axis=0), x.take(states, axis=0)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Step:
-    """One step of a decode plan: a node, and what code, config and frame count fix about it.
+    """One step of a decode plan: a node, and what the code and config fix about it.
 
     ``stage`` and ``info`` are the node's (``node_schedule``) and ``paths``
-    the paths each frame holds once the step is done.  The plan knows the
+    the paths a frame holds once the step is done.  The plan knows the
     register states on entry under local sorting, and under global sorting
     until the first cut, after which metrics decide which paths survive.
-    Where it knows them, ``states`` holds one frame's, which every frame
-    shares, in the narrowest unsigned dtype; ``signs`` and ``xs`` are their
-    rows of the node's tables (``table_rows``), both int8 and over the
-    whole node, ``children`` an information step's children's states before
-    any cut, ``after`` the states once the step is done and ``child_xs`` a
-    growth's children's X.  An information step that keeps every child (a
-    growth) holds the backpointers it writes over all frames, ``parents``
-    and ``bits``; one that cuts holds ``cut``: its group count over all
-    frames, the group width and each group's first row (None for one
-    group).  Every array is read-only, and steps of one kind share one
-    record.  Off plan (a decoder step function called alone), a step names
-    only its node, of one bit.
+    Where it knows them, ``states`` holds them in the narrowest unsigned
+    dtype; ``signs`` and ``xs`` are their rows of the node's tables
+    (``table_rows``), both int8 and over the whole node, ``children`` an
+    information step's children's states before any cut, ``after`` the
+    states once the step is done and ``child_xs`` a growth's children's X.
+    An information step that keeps every child (a growth) holds the
+    backpointers it writes, ``parents`` and ``bits``; one that cuts holds
+    ``cut``: its group count and the group width.  Everything is one
+    frame's, which every frame of a batch shares.  Every array is
+    read-only, and steps of one kind share one record.
     """
 
     stage: int
     info: bool
-    paths: int | None = None
+    paths: int
     states: np.ndarray | None = None
     signs: np.ndarray | None = None
     xs: np.ndarray | None = None
@@ -143,53 +137,28 @@ class Step:
     cut: tuple | None = None
 
 
-@lru_cache(maxsize=64)
-def plan_steps(code: PacCode, nodes: bool, sorting: str, list_size: int, budget: int,
-               frames: int) -> tuple:
-    """The ``Step`` records of a decode of ``frames`` frames of ``code``, cached.
-
-    ``nodes`` says whether steps span nodes (``node_schedule``), ``sorting``
-    and ``list_size`` are the decoder's, and ``budget`` is the most paths a
-    frame holds.  One frame's steps are made once for every frame count;
-    this adds the arrays that span every frame.
-    """
-    rows = budget * frames
-    made, shared, steps = {}, {}, []  # shared: the growths' rows by size, the cuts' by shape
-    for one in _frame_steps(code, nodes, sorting, list_size, budget):
-        if id(one) not in made:
-            step = one
-            if one.info and one.cut is None:  # a growth: each frame's parents, then again
-                per = one.paths // 2
-                if per not in shared:
-                    pos = np.arange(2 * per)
-                    parents = (pos % per + np.arange(0, frames * per, per)[:, None]).ravel()
-                    shared[per] = (_read_only(parents.astype(row_dtype(rows))),
-                                   _read_only(np.tile(pos >= per, frames)))
-                step = replace(one, parents=shared[per][0], bits=shared[per][1])
-            elif one.info:  # a cut: its groups over every frame
-                cut = one.cut[0] * frames, one.cut[1]
-                if cut not in shared:
-                    groups, width = cut
-                    shared[cut] = (groups, width, None if groups == 1 else
-                                   _read_only(np.arange(0, groups * width, width)[:, None]))
-                step = replace(one, cut=shared[cut])
-            made[id(one)] = step
-        steps.append(made[id(one)])
-    return tuple(steps)
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
 @lru_cache(maxsize=64)
-def _frame_steps(code: PacCode, nodes: bool, sorting: str, list_size: int, budget: int) -> tuple:
-    """One frame's plan, made in one forward pass, for ``plan_steps``.
+def plan_steps(code: PacCode, nodes: bool, sorting: str, list_size: int, budget: int) -> tuple:
+    """The ``Step`` records of a decode of one frame of ``code``, made in one pass and cached.
 
-    A cut's ``cut`` counts one frame's groups and has no offsets, and a
-    growth has no backpointers.  Equal arrays are one array and steps of one
-    kind one record, so a plan of K steps holds few of either.
+    ``nodes`` says whether steps span nodes (``node_schedule``), ``sorting``
+    and ``list_size`` are the decoder's, and ``budget`` is the most paths a
+    frame holds.  An information step grows while its children fit the
+    budget and cuts otherwise, to ``list_size`` paths in each group: one
+    group under global sorting, one per occupied register state under local
+    sorting.  There a frame's paths stay sorted by state, with equal counts
+    in the occupied states, by induction: a shift keeps the states in order,
+    the v = 0 children's states all precede the v = 1 children's, and a cut
+    leaves list_size paths in every occupied state.  The occupied states
+    are those whose bits written at information bits take every value and
+    whose other bits are 0, so the last child's state, all free bits set,
+    counts the groups.  Equal arrays are one array and steps of one kind one
+    record, so a plan of K steps holds few of either.
     """
     tables = node_tables(code.g, code.n)
     high = (1 << code.m) >> 1  # register bit that v = 1 sets (0 when m = 0)
@@ -203,30 +172,29 @@ def _frame_steps(code: PacCode, nodes: bool, sorting: str, list_size: int, budge
     for stage, info in node_schedule(code, nodes):
         key = (stage, info, per, id(states))  # interned: an array's id names its contents
         if key not in kinds:
-            signs = xs = children = after = child_xs = cut = None
+            signs = xs = children = after = child_xs = parents = bits = cut = None
             paths = per
             if states is not None:
                 signs, xs = table_rows(tables, stage, states)
-                if stage and signs.shape[1] < xs.shape[1]:  # past the table, 2X - 1 = -1
-                    rest = np.full((len(states), xs.shape[1] - signs.shape[1]), -1.0)
-                    signs = np.concatenate((signs, rest), axis=1)
                 signs, xs = intern(signs.astype(np.int8)), intern(xs)
                 shifted = states >> tables[stage][2]
                 if info:
                     children = intern(np.concatenate((shifted, shifted | high)))
                 else:
                     after = intern(shifted)
-            if info and 2 * per <= budget:
+            if info and 2 * per <= budget:  # a growth: each parent's v = 0 child, then v = 1
                 paths, after = 2 * per, children
+                pos = np.arange(2 * per)
+                parents, bits = intern(pos % per), intern(pos >= per)
                 if xs is not None:
                     child_xs = intern(np.concatenate((xs, xs ^ 1)))
-            elif info:  # the cut of prune: one group, or one per occupied state
+            elif info:
                 groups = 1 if sorting == "global" else 1 << int(children[-1]).bit_count()
-                paths, cut = groups * list_size, (groups, 2 * per // groups, None)
+                paths, cut = groups * list_size, (groups, 2 * per // groups)
                 if sorting == "local":  # each group is one state, kept list_size times
                     after = intern(children.reshape(groups, -1)[:, :list_size].ravel())
             kinds[key] = Step(stage, info, paths, states, signs, xs, children, after, child_xs,
-                              cut=cut)
+                              parents, bits, cut)
         steps.append(kinds[key])
         per, states = kinds[key].paths, kinds[key].after
     return tuple(steps)

@@ -17,8 +17,6 @@ from pactrellis.decoder import (
     extend_frozen,
     extend_info,
     hard_decision,
-    node_schedule,
-    node_tables,
     prune,
     step_plan,
 )
@@ -30,6 +28,7 @@ from pactrellis.pac_core import (
     rate_profile_insert,
 )
 from pactrellis.sc_engine import ScBank
+from pactrellis.schedule import node_schedule, node_tables
 from pactrellis.sim import SimPlan, batch_size
 
 
@@ -46,6 +45,12 @@ def build_pathset(code, metrics, states, config=DecoderConfig()):
     ps.metrics = np.asarray(metrics, dtype=float)
     ps.states = np.asarray(states, dtype=np.int64)
     return ps
+
+
+@pytest.fixture
+def bit_steps(monkeypatch):
+    """Plans of one-bit steps for every rule pair, as the mixed pairs decode."""
+    monkeypatch.setattr(DecoderConfig, "node_steps", property(lambda self: False))
 
 
 def final_pathset(llrs, code, cfg):
@@ -98,7 +103,7 @@ class TestDecoderConfig:
         code = PacCode.rm(3, 4, 0o133)  # m = 6, 16 messages
         assert DecoderConfig("global", 8).paths_per_frame(code) == 8
         assert DecoderConfig("local", 1).paths_per_frame(code) == 16
-        assert PathSet(np.ones((3, 8)), code, DecoderConfig("local", 1)).per_frame == 16
+        assert max(step.paths for step in step_plan(code, DecoderConfig("local", 1))) == 16
 
 
 class TestHardDecision:
@@ -154,11 +159,12 @@ class TestBranchMetric:
             assert np.all(pen >= 0)
 
 
+@pytest.mark.usefixtures("bit_steps")
 class TestExtendFrozen:
     def test_agreeing_llr_is_free(self):
         code = PacCode(n=1, K=1, A=(1,), g=(1, 1))
         ps = PathSet(np.array([3.0, 5.0]), code, DecoderConfig())
-        extend_frozen(ps)  # decision LLR f(3,5) = +3, u = 0 matches
+        extend_frozen(ps, step_plan(code, DecoderConfig())[0])  # f(3,5) = +3, u = 0 matches
         assert ps.metrics[0] == 0.0
         # stage 0 holds the committed u of bit 0; a frozen bit records no backpointer (v = 0)
         assert ps.bank.beta[0, 0] == 0 and ps.decided == 0
@@ -167,27 +173,27 @@ class TestExtendFrozen:
         code = PacCode(n=1, K=1, A=(1,), g=(1, 1))
         ps = PathSet(np.array([3.0, 5.0]), code, DecoderConfig())
         ps.states[0] = 1  # feedback tap forces u = 1 against lambda = +3
-        extend_frozen(ps)
+        extend_frozen(ps, step_plan(code, DecoderConfig())[0])
         assert ps.metrics[0] == 3.0
         assert ps.bank.beta[0, 0] == 1
 
     def test_path_count_unchanged(self, rng):
-        code = PacCode.rm(3, 4, 0o3)
-        ps = PathSet(rng.normal(0, 1, 8), code, DecoderConfig("global", 8))
-        extend_info(ps) if 0 in code.A else extend_frozen(ps)
-        # t=0,1,2 frozen for this profile; after an info split, counts stay fixed on frozen
-        for t in range(0, 3):
-            if t > 0:
-                extend_frozen(ps)
+        code, cfg = PacCode.rm(3, 4, 0o3), DecoderConfig("global", 8)
+        ps = PathSet(rng.normal(0, 1, 8), code, cfg)
+        # t=0,1,2 frozen for this profile: the path count stays fixed on frozen bits
+        for step in step_plan(code, cfg)[:3]:
+            assert not step.info and step.paths == 1
+            extend_frozen(ps, step)
             assert ps.size == 1
 
 
+@pytest.mark.usefixtures("bit_steps")
 class TestExtendInfo:
     def test_doubles_and_metrics(self):
-        code = PacCode(n=1, K=2, A=(0, 1), g=(1, 1))
+        code, cfg = PacCode(n=1, K=2, A=(0, 1), g=(1, 1)), DecoderConfig("global", 4)
         lam0 = -1.25  # f(-1.25, 2.0) would differ; use direct channel at N=2
-        ps = PathSet(np.array([-1.25, 2.0]), code, DecoderConfig("global", 4))
-        extend_info(ps)
+        ps = PathSet(np.array([-1.25, 2.0]), code, cfg)
+        extend_info(ps, step_plan(code, cfg)[0])
         lam = np.sign(-1.25) * np.sign(2.0) * min(1.25, 2.0)
         assert ps.size == 2
         assert ps.metrics[0] == branch_metric(lam, 0, "approximate")
@@ -196,14 +202,14 @@ class TestExtendInfo:
         assert [ps.traceback(i)[0] for i in range(ps.size)] == [0, 1]
 
     def test_exactly_one_child_penalized(self, rng):
-        code = PacCode.rm(4, 8, 0o3)
+        code, cfg = PacCode.rm(4, 8, 0o3), DecoderConfig("global", 64)
         d, llrs = make_trial(code, 2.0, rng)
-        ps = PathSet(llrs, code, DecoderConfig("global", 64))
-        t0 = code.A[0]
-        for t in range(t0):
-            extend_frozen(ps)
+        ps = PathSet(llrs, code, cfg)
+        plan, t0 = step_plan(code, cfg), code.A[0]
+        for step in plan[:t0]:
+            extend_frozen(ps, step)
         base = ps.metrics.copy()
-        extend_info(ps)
+        extend_info(ps, plan[t0])
         pen = ps.metrics - np.concatenate([base, base])
         P = base.size
         for i in range(P):
@@ -211,9 +217,9 @@ class TestExtendInfo:
             assert pair[0] == 0.0 and pair[1] >= 0.0
 
     def test_child_states_and_u(self):
-        code = PacCode(n=1, K=2, A=(0, 1), g=(1, 1))
-        ps = PathSet(np.array([1.0, 1.0]), code, DecoderConfig("global", 4))
-        extend_info(ps)
+        code, cfg = PacCode(n=1, K=2, A=(0, 1), g=(1, 1)), DecoderConfig("global", 4)
+        ps = PathSet(np.array([1.0, 1.0]), code, cfg)
+        extend_info(ps, step_plan(code, cfg)[0])
         assert list(ps.states) == [0, 1]
         assert list(ps.bank.beta[:, 0]) == [0, 1]  # committed u of bit 0, per row
         assert [ps.traceback(i)[0] for i in range(ps.size)] == [0, 1]
@@ -221,37 +227,45 @@ class TestExtendInfo:
 
 
 class TestPrune:
-    # prune narrows states and metrics and returns the kept rows; the bank is the caller's
+    # prune narrows states and metrics and returns the kept rows; the bank is the caller's.
+    # On this code the plan's steps are a REP node of 4 bits, one of 2, and two bits.
+    CODE = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
+
     def test_global_keeps_k_smallest(self):
-        code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
-        ps = build_pathset(code, [5.0, 1.0, 8.0, 3.0, 2.0, 7.0, 4.0, 6.0], [0] * 8,
-                           config=DecoderConfig("global", 4))
-        keep = prune(ps)
+        code, cfg = self.CODE, DecoderConfig("global", 4)
+        ps = build_pathset(code, [5.0, 1.0, 8.0, 3.0, 2.0, 7.0, 4.0, 6.0], [0] * 8, config=cfg)
+        step = step_plan(code, cfg)[2]  # 8 children, one group
+        assert step.cut == (1, 8)
+        keep = prune(ps, step)
         # the four smallest metrics, kept in the order their rows had
         assert list(ps.metrics) == [1.0, 3.0, 2.0, 4.0]
         assert list(keep) == [1, 3, 4, 6]
 
     def test_local_per_state_minimum(self):
-        code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
-        ps = build_pathset(code, [2.0, 1.5, 0.5, 3.0], [0, 0, 1, 1],
-                           config=DecoderConfig("local", 1))
-        prune(ps)
+        code, cfg = self.CODE, DecoderConfig("local", 1)
+        ps = build_pathset(code, [2.0, 1.5, 0.5, 3.0], [0, 0, 1, 1], config=cfg)
+        step = step_plan(code, cfg)[1]  # 4 children in states 0, 0, 1, 1: one group each
+        assert step.cut == (2, 2) and list(step.children) == [0, 0, 1, 1]
+        prune(ps, step)
         assert sorted(ps.metrics) == [0.5, 1.5]
         assert sorted(ps.states) == [0, 1]
 
-    def test_identity_below_budget(self):
-        code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
-        ps = build_pathset(code, [2.0, 1.0], [0, 1], config=DecoderConfig("local", 1))
-        keep = prune(ps)  # budget 2^1 * 1 = 2, not exceeded
-        assert list(ps.metrics) == [2.0, 1.0]
-        assert list(keep) == [0, 1]
+    def test_identity_below_budget(self, rng):
+        # children within the budget (2^1 * 1 = 2) are a growth in the plan, not a cut, and
+        # a decode's observer sees only the plan's cuts
+        code, cfg = self.CODE, DecoderConfig("local", 1)
+        plan = step_plan(code, cfg)
+        assert plan[0].info and plan[0].cut is None and plan[0].paths == 2
+        cuts = []
+        decode(make_trial(code, 1.0, rng)[1], code, cfg,
+               prune_observer=lambda t, states, metrics, keep: cuts.append(metrics.size))
+        assert cuts == [step.cut[0] * step.cut[1] for step in plan if step.cut] == [4, 4, 4]
 
     def test_tie_breaks_on_id(self):
         # a tie goes to the earlier row, the older path
-        code = PacCode(n=3, K=4, A=(3, 5, 6, 7), g=(1, 1))
-        ps = build_pathset(code, [2.0, 1.0, 1.0, 1.0], [0, 0, 0, 0],
-                           config=DecoderConfig("global", 2))
-        assert list(prune(ps)) == [1, 2]
+        code, cfg = self.CODE, DecoderConfig("global", 2)
+        ps = build_pathset(code, [2.0, 1.0, 1.0, 1.0], [0, 0, 0, 0], config=cfg)
+        assert list(prune(ps, step_plan(code, cfg)[1])) == [1, 2]
         assert list(ps.metrics) == [1.0, 1.0]
 
 
@@ -660,7 +674,9 @@ class TestNodeSchedule:
 
 
 class TestStepPlan:
-    """The cached plan holds what the decode itself sees: path counts, cuts and states."""
+    """The cached plan holds what the decode itself sees: path counts, cuts and states.
+
+    It is one frame's, and a batch of frames sees it once per frame."""
 
     @staticmethod
     def plan_cases():
@@ -678,7 +694,7 @@ class TestStepPlan:
     @pytest.mark.parametrize("case", range(5))
     def test_path_counts_cuts_and_states_match_the_decode(self, case, frames, rng):
         code, cfg = self.plan_cases()[case]
-        plan = step_plan(code, cfg, frames)
+        plan = step_plan(code, cfg)
         x = np.stack([make_trial(code, 1.5, rng)[1] for _ in range(frames)])
         seen, cuts = [], []
 
@@ -694,14 +710,13 @@ class TestStepPlan:
         planned = [step for step in plan if step.cut is not None]
         assert len(cuts) == len(planned)
         for step, (states, candidates, kept) in zip(planned, cuts):
-            groups, width, offsets = step.cut
-            assert groups * width == candidates and groups * cfg.list_size == kept
-            assert offsets is None if groups == 1 else np.array_equal(
-                offsets.ravel(), np.arange(0, candidates, width))
+            groups, width = step.cut
+            assert groups * frames * width == candidates
+            assert groups * frames * cfg.list_size == kept
             if cfg.sorting == "global":
-                assert groups == frames
+                assert groups == 1
             else:  # one group per frame and state, and the plan's states are the decode's
-                assert (states.reshape(groups, width) == states[::width, None]).all()
+                assert (states.reshape(groups * frames, width) == states[::width, None]).all()
                 assert np.array_equal(states, np.tile(step.children, frames))
 
     @pytest.mark.parametrize("n, K, cfg, frames, count", [
@@ -714,19 +729,19 @@ class TestStepPlan:
     def test_cut_counts(self, n, K, cfg, frames, count, rng):
         # LVA32 on 0o73, the others on 0o133; each cut keeps list_size of every group
         code = PacCode.rm(n, K, 0o73 if cfg.list_size == 1 else 0o133)
-        plan = step_plan(code, cfg, frames)
+        plan = step_plan(code, cfg)
         x = np.stack([make_trial(code, 2.0, rng)[1] for _ in range(frames)])
         cuts = []
         decode(x, code, cfg, prune_observer=lambda t, s, metrics, keep: cuts.append(
             (metrics.size, keep.size)))
-        expect = [(step.cut[0] * step.cut[1], step.cut[0] * cfg.list_size)
+        expect = [(frames * step.cut[0] * step.cut[1], frames * step.cut[0] * cfg.list_size)
                   for step in plan if step.cut is not None]
         assert len(expect) == count and cuts == expect
 
     def test_local_states_follow_the_plan(self, rng):
         # a hook that reads the states takes them off the plan; they stay what it said
         code, cfg = PacCode.rm(7, 64, 0o133), DecoderConfig("local", 2)
-        plan = step_plan(code, cfg, 2)
+        plan = step_plan(code, cfg)
         seen = []
         decode(np.stack([make_trial(code, 1.5, rng)[1] for _ in range(2)]), code, cfg,
                step_hook=lambda t, ps: seen.append(ps.states.copy()))
@@ -740,11 +755,10 @@ class TestStepPlan:
             decode(make_trial(code, 1.5, rng)[1], code, cfg,
                    step_hook=lambda t, ps: plans.append(ps.steps))
         assert all(plan is plans[0] for plan in plans)  # the second decode built none
-        assert plans[0] is step_plan(code, cfg, 1)
+        assert plans[0] is step_plan(code, cfg)
         arrays = [value for step in plans[0] for value in
                   (step.states, step.signs, step.xs, step.children, step.after, step.child_xs,
-                   step.parents, step.bits, *(step.cut[2:] if step.cut else ()))
-                  if value is not None]
+                   step.parents, step.bits) if value is not None]
         assert arrays and not any(a.flags.writeable for a in arrays)
 
     def test_threads_decode_as_one(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from reference_oracle import generator_matrix
 
-from pactrellis import sim
+from pactrellis import schedule, sim
 from pactrellis.decoder import DecoderConfig, decode
 from pactrellis.pac_core import PacCode
 from pactrellis.sim import (
@@ -285,6 +285,17 @@ class TestRunSweep:
                                 max_trials=40_000, **kwargs), 0, workers=2)
         assert sc.frame_errors >= 100
         assert scl.fer < sc.fer
+
+
+    def test_sweep_builds_one_plan(self):
+        # a point's last batches hold fewer frames than batch_size; every batch of every
+        # point decodes by the one plan of the code and config
+        plan = SimPlan(code=PacCode.rm(7, 64, 0o133), decoder=DecoderConfig.from_name("lva", 2),
+                       snr_points=(1.5, 2.0), min_frame_errors=30, max_trials=2000,
+                       master_seed=3)
+        schedule.plan_steps.cache_clear()
+        run_sweep(plan)
+        assert schedule.plan_steps.cache_info().misses == 1
 
 
 class TestConfidenceInterval:
