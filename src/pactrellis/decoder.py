@@ -18,8 +18,8 @@ An information bit selects before it copies: survivors are chosen from the
 children's metrics and states, and only then does the SC bank take them,
 once, from their parents, so it never holds more rows than the budget (a
 survivor that is its parent's only kept child keeps its parent's bank row).
-Paths keep no histories: each information bit stores a backpointer (parent
-row, bit) per survivor, and the winner is read back by one traceback.
+Paths keep no histories: each information bit stores each survivor's position
+among its frame's children, and the winner is read back by one traceback.
 
 Several frames decode in lockstep as one set of rows, grouped by frame: the
 path count after every step depends only on the schedule and the budget, so
@@ -71,6 +71,7 @@ __all__ = [
     "branch_metric",
     "decode",
     "step_plan",
+    "frame_bytes",
 ]
 
 SORTING_MODES = ("local", "global")
@@ -166,6 +167,17 @@ def step_plan(code: PacCode, config: DecoderConfig) -> tuple:
                       config.paths_per_frame(code))
 
 
+def _position_dtype(paths: int) -> np.dtype:
+    """The backpointers' dtype: positions among a frame's 2 ``paths`` children, narrow."""
+    return np.min_scalar_type(2 * paths - 1)
+
+
+def frame_bytes(code: PacCode, config: DecoderConfig) -> int:
+    """The bytes a frame's paths hold in a decode: bank rows and backpointer columns."""
+    paths = config.paths_per_frame(code)
+    return paths * (ScBank.row_bytes(code.N) + code.K * _position_dtype(paths).itemsize)
+
+
 @lru_cache(maxsize=256)
 def _offsets(groups: int, width: int) -> np.ndarray:
     """Each of ``groups`` groups' first row, ``width`` rows apart, as a read-only column."""
@@ -197,9 +209,9 @@ class PathSet:
 
     ``channel_llrs`` is one frame or a (frames, N) array of frames decoded in
     lockstep (see the module docstring); rows are grouped by frame.
-    ``parents`` and ``bits`` hold, per information bit, each survivor's
-    parent row and decided bit, in the first ``decided`` rows of two
-    (K, rows) tables; ``traceback`` reads messages back from them.
+    ``positions`` holds, per information bit, each survivor's position
+    among its frame's children, in the first ``decided`` rows of a (K,
+    rows) table; ``traceback`` reads messages back from it.
     ``steps`` is the plan that ``decode`` walks for this code and config
     (``step_plan``), one frame's, which every frame follows.
     """
@@ -213,9 +225,7 @@ class PathSet:
         self.bank = ScBank(llrs, combining=config.combining_rule, capacity=rows)
         self.frames = self.bank.frames
         self.metrics = np.zeros(self.frames, dtype=float)
-        # parent rows: narrow where the rows allow
-        self.parents = np.empty((code.K, rows), dtype=np.int16 if rows < 1 << 15 else np.intp)
-        self.bits = np.empty((code.K, rows), dtype=bool)
+        self.positions = np.empty((code.K, rows), dtype=_position_dtype(rows // self.frames))
         self.decided = 0
         # after the bank: made by the first decode, the cached plan and tables stay above
         # its bank on the heap, so glibc's default malloc does not trim and re-fault the
@@ -253,18 +263,23 @@ class PathSet:
         """The information bits decided so far along the paths that end in ``rows``.
 
         ``rows`` is one row or an array of rows; the result has the bits as
-        one more, last, axis.  Each path is walked back with Python integers:
-        a numpy call per bit would cost several times more for the few
-        frames of a batch.
+        one more, last, axis.  A position past the frame's parents is a v = 1
+        child's.  Each path is walked back with Python integers: a numpy call
+        per bit would cost several times more for the few frames of a batch.
         """
         rows = np.asarray(rows, dtype=np.intp)
-        parents, bits = memoryview(self.parents), memoryview(self.bits)
-        paths = []
+        # per frame at each information bit: its parents, and the children it keeps
+        before = (1, *(step.paths for step in self.steps))
+        counts = [(per, step.paths) for per, step in zip(before, self.steps) if step.info]
+        positions, paths = memoryview(self.positions), []
         for row in rows.ravel().tolist():
+            frame, local = divmod(row, self.size // self.frames)
             path = [0] * self.decided
             for j in range(self.decided - 1, -1, -1):
-                path[j] = bits[j, row]
-                row = parents[j, row]
+                per, kept = counts[j]
+                local = positions[j, frame * kept + local]
+                if local >= per:
+                    path[j], local = 1, local - per
             paths.append(path)
         return np.array(paths, dtype=np.int8).reshape(*rows.shape, self.decided)
 
@@ -346,10 +361,10 @@ def extend_info(paths: PathSet, step: Step, observer=None) -> PathSet:
     v = 1 child's partial sums are the v = 0 child's, flipped.  The path
     arrays are replaced by the children's (per frame, v = 0 children first,
     v = 1 children after them, both in parent order).  A growth keeps them
-    all: each frame writes the plan's backpointers, offset by its first
-    row, and the bank grows.  A cut has ``prune`` (given ``observer``)
-    select among them, and only then does the bank take the survivors from
-    their parents.  Then it commits their partial sums.
+    all: each frame writes the plan's backpointers, and the bank grows.  A
+    cut has ``prune`` (given ``observer``) select among them, and only then
+    does the bank take the survivors from their parents.  Then it commits
+    their partial sums.
     """
     frames, stage = paths.frames, step.stage
     per = paths.size // frames  # parents per frame
@@ -371,20 +386,12 @@ def extend_info(paths: PathSet, step: Step, observer=None) -> PathSet:
     j = paths.decided
     paths.decided = j + 1
     if step.cut is None:  # a growth
-        k = paths.size
-        if frames == 1:
-            paths.parents[j, :k] = step.parents
-            paths.bits[j, :k] = step.bits
-        else:  # each frame's parents, offset by its first row
-            parents = paths.parents[j, :k].reshape(frames, -1)
-            np.add(step.parents, _offsets(frames, per), out=parents)
-            paths.bits[j, :k].reshape(frames, -1)[:] = step.bits
+        paths.positions[j, : paths.size].reshape(frames, -1)[:] = step.positions
         paths.bank.grow()
         x = _every_frame(step.child_xs, frames) if planned else _children(xs, xs ^ 1, frames)
         paths.bank.update_partial_sums(x)
         return paths
     keep = prune(paths, step, observer)
-    k = keep.size
     # a kept child's position in its frame says its bit; its parent is that position
     # modulo the frame's parents, offset by the frame's first row
     if frames == 1:
@@ -394,8 +401,8 @@ def extend_info(paths: PathSet, step: Step, observer=None) -> PathSet:
         frame, pos = np.divmod(keep, 2 * per)
         local = pos % per
         parent = local + frame * per
-    bit = np.greater_equal(pos, per, out=paths.bits[j, :k])
-    paths.parents[j, :k] = parent  # the bank's take and the sums below read parent as intp
+    paths.positions[j, : keep.size] = pos
+    bit = pos >= per
     paths.bank.take(parent)
     x = xs.take(local if planned else parent, axis=0)
     x ^= bit if x.ndim == 1 else bit[:, None]

@@ -2,15 +2,17 @@
 
 The factor graph has n+1 stages; stage n holds the N channel LLRs and stage 0
 produces the per-bit decision LLR.  The channel stage is the same for every
-path, so it is stored once, as a read-only vector that the stage n-1 updates
-read by broadcast.  Only one block per other stage is ever live, so those LLRs
-are stored compactly: stage s < n occupies slots [2^s - 1, 2^{s+1} - 1) of an
-(N - 1)-slot row.  Partial sums use the same (N - 1)-slot layout (Tal and
-Vardy's per-stage arrays): stage s holds only its pending left block, the one
-the next g-update at that stage reads.  Committing bit t folds the new sums up
-through the stages of the set low bits of t and parks the result at the first
-stage whose bit is clear.  No later bit reads the sums of bit N-1, so its
-commit folds nothing.
+path, so it is stored once, as a read-only vector read by broadcast; so is stage
+n-1 over the code's first half, f(channel halves).  Over the second half the
+updates that read stage n-1 rebuild it, channel_hi + (1 - 2 beta) channel_lo
+from a path's stage n-1 sums beta.  Only one block per other stage is ever
+live, so those LLRs are stored compactly: stage s < n-1 occupies slots
+[2^s - 1, 2^{s+1} - 1) of an (N/2 - 1)-slot row.  Partial sums use the same
+layout over N - 1 slots (Tal and Vardy's per-stage arrays): stage s holds only
+its pending left block, the one the next g-update at that stage reads.
+Committing bit t folds the new sums up through the stages of the set low bits
+of t and parks the result at the first stage whose bit is clear.  No later bit
+reads the sums of bit N-1, so its commit folds nothing.
 
 The unit of both updates is a node: an aligned block of 2^s bits, decided in
 one step at stage s (a bit is the node at stage 0).  Nodes come in bit order, so
@@ -21,18 +23,16 @@ stage's block and folds upward from there as a bit's commit does.
 ``ScBank`` holds one scratch row per decoder path and applies every update to
 all rows at once.  It may hold several frames, each with its own channel LLRs
 and its own paths, every frame holding the same number.  Paths keep an order,
-grouped by frame; rows need not follow it.  The bank has one buffer for LLRs
-and one for sums, each frame owning a block of rows in both, and a slot map
-takes each path to its row, in the first rows of its frame's block (after
-Tal and Vardy's clonePath, and the pointer memory of Balatsoukas-Stimming,
-Bastani Parizi and Burg), allocated once for the most paths the bank will
-hold.  It starts with one path per frame.  Path splitting goes through
-``grow``, which copies each frame's rows as one slice, and pruning through
-``take``, which copies a row only for a path taken twice, and a frame's rows
-whole only where its path count changes.  Only two updates read
-the channel: those at bit 0, when rows and frames still line up, and the
-g-update at stage n-1, which reads each frame's channel row against that
-frame's block.
+grouped by frame; rows need not follow it.  The bank has one buffer for LLRs and
+one for sums, each frame owning a block of rows in both, and a slot map takes
+each path to its row, in the first rows of its frame's block (after Tal and
+Vardy's clonePath, and the pointer memory of Balatsoukas-Stimming, Bastani
+Parizi and Burg), allocated once for the most paths the bank will hold.  It
+starts with one path per frame.  Path splitting goes through ``grow``, which
+copies each frame's rows as one slice, and pruning through ``take``, which
+copies a row only for a path taken twice, and a frame's rows whole only where
+its path count changes.  Stage n-1 is read against each frame's rows, from the
+frame's own block or channel row.
 """
 
 from __future__ import annotations
@@ -90,18 +90,19 @@ class ScBank:
     ``channel_llrs`` is one frame of N LLRs, or a (frames, N) array of
     several, decoded in lockstep, each finite and at most float max / N^2 in
     magnitude (path metrics reach N^2 times it).  They are kept once, in the
-    read-only array ``channel``, as given; each row holds N - 1 intermediate
-    LLRs and N - 1 partial sums, both in the per-stage layout of the module
-    docstring.  The bank starts with one path per frame, and every frame
-    holds the same number of them.  Updates follow the standard in-order
-    schedule: ``update_llrs(s)`` then ``update_partial_sums(x)`` for nodes
-    that tile 0 .. N-1 in order (s = 0, the default, for a bit).  The bank
-    owns the position: a node starts at ``t``, the next undecided bit, and
-    its commit advances ``t`` by the node's width 2^s.  Between the two
-    calls ``take`` keeps given paths (a path may be taken more than once),
-    or ``grow`` takes every path twice.  What a node's updates touch (the
-    slots each stage reads and writes, the commit's slots and folds) depends
-    on N, s and the node's place in the tree, and is cached per kind.
+    read-only array ``channel``, as given, and so is stage n-1 of the first
+    half; a row holds N/2 - 1 LLRs (stages 0 .. n-2) and N - 1 partial sums,
+    both in the per-stage layout of the module docstring.  The bank starts
+    with one path per frame, and every frame holds the same number of them.
+    Updates follow the standard in-order schedule: ``update_llrs(s)`` then
+    ``update_partial_sums(x)`` for nodes that tile 0 .. N-1 in order (s = 0,
+    the default, for a bit).  The bank owns the position: a node starts at
+    ``t``, the next undecided bit, and its commit advances ``t`` by the
+    node's width 2^s.  Between the two calls ``take`` keeps given paths (a
+    path may be taken more than once), or ``grow`` takes every path twice.
+    What a node's updates touch (the slots each stage reads and writes, the
+    commit's slots and folds) depends on N, s and the node's place in the
+    tree, and is cached per kind.
 
     Paths have an order, grouped by frame: the one that ``take``, the
     blocks ``update_llrs`` returns and the sums ``update_partial_sums``
@@ -111,17 +112,17 @@ class ScBank:
     of its block, the live rows, and a slot map takes each path to its row.
     The updates run over the live rows in place, whatever their order, and
     ``take`` moves as few rows as it can (see there).  A bank of several
-    frames makes its large temporaries (a g-update's sign block, the
-    combining rule's, a growth's copy, a gather's) in runs of whole frames
-    of at most 2^14 elements each (one frame where a frame holds more), so
-    that its heap grows with its rows and no more.  ``llr`` and ``beta`` are
-    the live rows, (rows, N - 1) each, with a leading frame axis when
-    ``channel`` has one; ``paths`` returns them in path order.
-    ``capacity`` is the most paths the bank holds, over all frames (rounded
-    up to a whole number per frame), at least 1.  Both buffers are allocated
-    for it here and never again (fresh arrays at every information bit cost
-    page faults under glibc's default malloc settings); ``take`` rejects
-    more paths.
+    frames makes its large temporaries (a g-update's sign block, a rebuilt
+    stage n-1, the combining rule's, a growth's copy, a gather's) in runs of
+    whole frames of at most 2^14 elements each (one frame where a frame
+    holds more), so that its heap grows with its rows and no more.  ``llr``
+    and ``beta`` are the live rows, (rows, N/2 - 1) and (rows, N - 1), with
+    a frame axis when ``channel`` has one; ``paths`` returns them in path
+    order.  ``capacity`` is the most paths the bank holds, over all frames
+    (rounded up to a whole number per frame), at least 1.  Both buffers are
+    allocated for it here and never again (fresh arrays at every information
+    bit cost page faults under glibc's default malloc settings); ``take``
+    rejects more paths.
     """
 
     def __init__(self, channel_llrs, combining: str = "min-sum", capacity: int = 1):
@@ -153,9 +154,11 @@ class ScBank:
         # freed bank, not trims and refaults it
         self._cap = -(-capacity // frames)
         self._beta_buf = np.empty((frames, self._cap, N - 1), dtype=np.int8)
-        self._llr_buf = np.empty((frames, self._cap, N - 1))
+        self._llr_buf = np.empty((frames, self._cap, _llr_slots(N)))
         self._beta_rows = self._beta_buf.reshape(frames * self._cap, N - 1)
-        self._llr_rows = self._llr_buf.reshape(frames * self._cap, N - 1)
+        self._llr_rows = self._llr_buf.reshape(frames * self._cap, _llr_slots(N))
+        h = N >> 1  # stage n - 1 of the first half, one block per frame, read as _channel is
+        self._first = self._f(self._channel[..., :h], self._channel[..., h : 2 * h])
         self._resize(1)
         self._llr[:] = 0.0
         self._beta[:] = 0
@@ -202,8 +205,13 @@ class ScBank:
         """The live rows' partial sums, in row order (a view)."""
         return self._beta_buf[:, : self._rows] if self.channel.ndim == 2 else self._beta
 
+    @staticmethod
+    def row_bytes(N: int) -> int:
+        """The bytes of one row of a bank of code length N: its LLRs and partial sums."""
+        return np.dtype(float).itemsize * _llr_slots(N) + N - 1
+
     def paths(self):
-        """Each path's LLRs and partial sums, in path order: two (paths, N - 1) copies."""
+        """Each path's LLRs and partial sums, in path order: (paths, N/2 - 1), (paths, N - 1)."""
         return self._llr_rows[self._paths].copy(), self._beta_rows[self._paths].copy()
 
     def update_llrs(self, stage: int = 0) -> np.ndarray:
@@ -213,6 +221,7 @@ class ScBank:
         (stage 0) returns its decision LLRs, one per path, both in path
         order.  The node must start at a multiple of its width.  The result
         may be a view, valid until the next ``update_llrs`` or ``take``.
+        A node of N/2 bits returns stage n-1, its frame's or rebuilt.
         """
         t, width = self._t, 1 << stage
         if self._pending:
@@ -225,40 +234,52 @@ class ScBank:
         # the g-update's stage, t's lowest set bit; bit 0 has none, its rows one per frame
         top = (t & -t).bit_length() - 1 if t else self.n
         g, fs, block = _llr_updates(self.n, top, stage)
-        parts = self._parts(self._rows << top)
-        if parts is _WHOLE:  # no views: one per step showed in traced page faults
-            self._recurse(self._llr, self._beta, self._channel, g, fs)
-        else:
-            for f in parts:
-                self._recurse(self._llr[f], self._beta[f], self._channel[f], g, fs)
-        self._pending = True
-        self._stage = stage
-        if block is None:
-            # a node of the whole code has no intermediate stage: its LLRs are the
-            # channel's, one row per frame
-            llrs = np.broadcast_to(self.channel, (self.n_paths, width))
+        self._pending, self._stage, h = True, stage, self.N >> 1
+        if block is None:  # the channel or stage n - 1: before bit N/2 one block per frame
+            if t >= h and stage < self.n:  # rebuilt in path order
+                sums = self._beta_rows[:, h - 1 :][self._paths].reshape(*self._beta.shape[:-1], h)
+                llrs = self._rebuild(sums, self._channel).reshape(-1, width)
+            else:
+                src = (self._first if stage < self.n else self._channel).reshape(-1, 1, width)
+                llrs = np.broadcast_to(src, (self.frames, self._rows, width)).reshape(-1, width)
             return llrs if stage else llrs[:, 0]
+        # the second half's updates that read stage n - 1 rebuild it first
+        rebuild = t >= h and top >= self.n - 2
+        parts = self._parts(self._rows << (self.n - 1 if rebuild else top))
+        if parts is _WHOLE:  # no views: one per step showed in traced page faults
+            parts = ((self._llr, self._beta, self._channel, self._first),)
+        else:
+            parts = [(self._llr[f], self._beta[f], self._channel[f], self._first[f]) for f in parts]
+        for llr, beta, channel, first in parts:
+            upper = self._rebuild(beta[..., h - 1 :], channel) if rebuild else first
+            self._recurse(llr, beta, upper, g, fs)
         block = self._llr_rows[:, block]  # a bit's one slot gives one LLR per row
         return block[self._paths] if self._slots is None else block.take(self._slots, axis=0)
 
-    def _recurse(self, llr, beta, channel, g, fs) -> None:
-        """The g-update ``g`` (None at bit 0), then the f-updates ``fs``, of one node.
+    def _rebuild(self, sums, channel) -> np.ndarray:
+        """Stage n - 1 over the second half, channel_hi + (1 - 2 sums) channel_lo: a new array."""
+        h = self.N >> 1
+        sign = _SIGN.take(sums)  # the product and the sum go into the sign's own block
+        return np.add(channel[..., h:], np.multiply(sign, channel[..., :h], out=sign), out=sign)
 
-        ``llr`` and ``beta`` are live rows, (rows, N - 1) or (frames, rows,
-        N - 1), and ``channel`` is read against them (see ``__init__``).
-        Each update reads the two halves of the stage above, from the
-        channel or from ``llr``, and writes its own stage's block.
+    def _recurse(self, llr, beta, upper, g, fs) -> None:
+        """The g-update ``g`` (None at stages n - 1 and n), then the f-updates ``fs``, of one node.
+
+        ``llr`` and ``beta`` are live rows, (rows, ...) or (frames, rows,
+        ...), and ``upper``, stage n - 1, is read against them.  Each update
+        reads the two halves of the stage above, from ``upper`` or from
+        ``llr``, and writes its own stage's block.
         """
         if g is not None:
-            lo, hi, dst, from_channel = g
-            src = channel if from_channel else llr
+            lo, hi, dst, from_upper = g
+            src = upper if from_upper else llr
             # b + (1 - 2 beta) a, the sign read from a table by the committed partial sum;
             # the product goes into the sign's own block: one (rows, w) temporary, not two
             sign = _SIGN.take(beta[..., dst])
             np.add(src[..., hi], np.multiply(sign, src[..., lo], out=sign), out=llr[..., dst])
             del sign  # not held through the f-updates below
-        for lo, hi, dst, from_channel in fs:
-            src = channel if from_channel else llr
+        for lo, hi, dst, from_upper in fs:
+            src = upper if from_upper else llr
             self._f(src[..., lo], src[..., hi], out=llr[..., dst])
 
     def update_partial_sums(self, x) -> None:
@@ -386,6 +407,11 @@ class ScBank:
         self._resize(keep)
 
 
+def _llr_slots(N: int) -> int:
+    """The LLR slots of a row, stages 0 .. n - 2: N/2 - 1, and none at N = 1."""
+    return (N - 1) >> 1
+
+
 @lru_cache(maxsize=256)
 def _runs(frames: int, run: int) -> tuple:
     """Keys of ``frames`` frames in runs of ``run``, the last run maybe shorter."""
@@ -394,13 +420,13 @@ def _runs(frames: int, run: int) -> tuple:
 
 @lru_cache(maxsize=1024)
 def _update(n: int, s: int) -> tuple:
-    """The slots of the update of stage s < n: (lo, hi, dst, from_channel).
+    """The slots of the update of stage s < n - 1: (lo, hi, dst, from_upper).
 
-    It reads the halves lo and hi of the stage above, the channel's for
-    stage n - 1, and writes its own stage's slots dst.
+    It reads the halves lo and hi of the stage above, stage n - 1's block
+    for stage n - 2, and writes its own stage's slots dst.
     """
     w = 1 << s
-    if s + 1 == n:
+    if s + 2 == n:
         return slice(0, w), slice(w, 2 * w), slice(w - 1, 2 * w - 1), True
     above = 2 * w - 1  # where the stage above's block starts
     return slice(above, above + w), slice(above + w, above + 2 * w), slice(w - 1, above), False
@@ -410,14 +436,15 @@ def _update(n: int, s: int) -> tuple:
 def _llr_updates(n: int, top: int, stage: int) -> tuple:
     """(g, fs, block) of a node of 2^stage bits whose g-update is at stage ``top``.
 
-    The g-update (None at bit 0, where ``top`` is n), the f-updates down to
-    the node's stage (``_update`` each), and the node's slots: slot 0 for a
-    bit, None for a node of the whole code.
+    The g-update (None at bit 0, where ``top`` is n, and at stage n - 1,
+    whose block is made apart), the f-updates from stage n - 2 or below down
+    to the node's stage (``_update`` each), and the node's slots: slot 0 for
+    a bit, None for a node of stage n - 1 or n.
     """
     width = 1 << stage
-    return (_update(n, top) if top < n else None,
-            tuple(_update(n, s) for s in range(top - 1, stage - 1, -1)),
-            None if stage == n else slice(width - 1, 2 * width - 1) if stage else 0)
+    return (_update(n, top) if top < n - 1 else None,
+            tuple(_update(n, s) for s in range(min(top, n - 1) - 1, stage - 1, -1)),
+            None if stage >= n - 1 else slice(width - 1, 2 * width - 1) if stage else 0)
 
 
 @lru_cache(maxsize=1024)

@@ -117,7 +117,7 @@ class Step:
     information step's children's states before any cut, ``after`` the
     states once the step is done and ``child_xs`` a growth's children's X.
     An information step that keeps every child (a growth) holds the
-    backpointers it writes, ``parents`` and ``bits``; one that cuts holds
+    backpointers it writes, ``positions``; one that cuts holds
     ``cut``: its group count and the group width.  Everything is one
     frame's, which every frame of a batch shares.  Every array is
     read-only, and steps of one kind share one record.
@@ -132,8 +132,7 @@ class Step:
     children: np.ndarray | None = None
     after: np.ndarray | None = None
     child_xs: np.ndarray | None = None
-    parents: np.ndarray | None = None
-    bits: np.ndarray | None = None
+    positions: np.ndarray | None = None
     cut: tuple | None = None
 
 
@@ -172,7 +171,7 @@ def plan_steps(code: PacCode, nodes: bool, sorting: str, list_size: int, budget:
     for stage, info in node_schedule(code, nodes):
         key = (stage, info, per, id(states))  # interned: an array's id names its contents
         if key not in kinds:
-            signs = xs = children = after = child_xs = parents = bits = cut = None
+            signs = xs = children = after = child_xs = positions = cut = None
             paths = per
             if states is not None:
                 signs, xs = table_rows(tables, stage, states)
@@ -184,8 +183,7 @@ def plan_steps(code: PacCode, nodes: bool, sorting: str, list_size: int, budget:
                     after = intern(shifted)
             if info and 2 * per <= budget:  # a growth: each parent's v = 0 child, then v = 1
                 paths, after = 2 * per, children
-                pos = np.arange(2 * per)
-                parents, bits = intern(pos % per), intern(pos >= per)
+                positions = intern(np.arange(2 * per))
                 if xs is not None:
                     child_xs = intern(np.concatenate((xs, xs ^ 1)))
             elif info:
@@ -194,7 +192,7 @@ def plan_steps(code: PacCode, nodes: bool, sorting: str, list_size: int, budget:
                 if sorting == "local":  # each group is one state, kept list_size times
                     after = intern(children.reshape(groups, -1)[:, :list_size].ravel())
             kinds[key] = Step(stage, info, paths, states, signs, xs, children, after, child_xs,
-                              parents, bits, cut)
+                              positions, cut)
         steps.append(kinds[key])
         per, states = kinds[key].paths, kinds[key].after
     return tuple(steps)

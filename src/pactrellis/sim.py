@@ -16,12 +16,12 @@ true stopping trial, so the reported prefix is the same whatever the worker
 count and results are byte-identical for any ``workers`` value.  A serial
 run decodes exactly that prefix.
 
-Inside a chunk, trials run in lockstep batches (``batch_size``): a batch's SC
-bank holds at most ``BANK_ROW_SLOTS`` row slots (paths times N - 1), the
-bytes of a 128-path bank at N = 1024, and at most ``LOCKSTEP_FRAMES``
-frames, and never more frames than the errors still missing.  SCL-32 on
-PAC(1024,512) runs 4 frames a batch; on PAC(128,64) LVA with 32 paths runs
-32, LVA with 128 paths 8 and SCL-8 64.  Each trial draws its message, then
+Inside a chunk, trials run in lockstep batches (``batch_size``): a batch's
+paths hold at most ``BANK_BYTES`` in SC bank rows and backpointers
+(``decoder.frame_bytes``), and a batch at most ``LOCKSTEP_FRAMES`` frames,
+never more than the errors still missing.  SCL-32 on PAC(1024,512) runs 6
+frames a batch; on PAC(128,64) LVA with 32 paths runs 52, LVA with 128
+paths 13, VA 26 and SCL-8 64.  Each trial draws its message, then
 its noise, from its own generator as above (``trial_rng`` resets one
 reused generator per trial); the batch is encoded, modulated, turned into
 LLRs and decoded as one array, one ``decode`` call.  A chunk returns each
@@ -45,7 +45,7 @@ from itertools import islice
 import numpy as np
 
 from .channel import ChannelParams, bpsk_modulate, channel_llr
-from .decoder import DecoderConfig, decode
+from .decoder import DecoderConfig, decode, frame_bytes
 from .pac_core import PacCode, pac_encode
 
 __all__ = [
@@ -65,10 +65,9 @@ __all__ = [
 ]
 
 TRIALS_PER_CHUNK = 200
-# a lockstep batch's bank holds at most this many row slots, paths x (N - 1): one
-# bank side of 128 rows at N = 1024, the bytes that two sides of 64 rows held when
-# the bank gathered every row into a second side
-BANK_ROW_SLOTS = 128 * 1023
+# a lockstep batch's paths hold at most this many bytes of bank rows and backpointers:
+# a bank of 128 rows of 1,023 LLRs and 1,023 partial sums at N = 1024, 9 bytes a slot
+BANK_BYTES = 128 * 1023 * 9
 # and at most this many frames, so that small codes do not batch a whole chunk
 LOCKSTEP_FRAMES = 64
 
@@ -161,12 +160,11 @@ def run_trial(plan: SimPlan, snr_index: int, trial_index: int):
 
 
 def batch_size(plan: SimPlan) -> int:
-    """Frames per lockstep batch: as many as fit ``BANK_ROW_SLOTS``, at most ``LOCKSTEP_FRAMES``.
+    """Frames per lockstep batch: as many as fit ``BANK_BYTES``, at most ``LOCKSTEP_FRAMES``.
 
-    A frame takes ``paths_per_frame`` rows of N - 1 slots; a batch holds at least one.
+    A frame takes ``decoder.frame_bytes``; a batch holds at least one.
     """
-    slots = plan.decoder.paths_per_frame(plan.code) * max(1, plan.code.N - 1)
-    return max(1, min(LOCKSTEP_FRAMES, BANK_ROW_SLOTS // slots))
+    return max(1, min(LOCKSTEP_FRAMES, BANK_BYTES // frame_bytes(plan.code, plan.decoder)))
 
 
 def _run_chunk(plan: SimPlan, snr_index: int, start: int, count: int, stop_at: int):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import make_trial, stage_n_sums
-from reference_oracle import naive_scl_reference
+from reference_oracle import codebook_metrics, forced_path_metrics, naive_scl_reference
 
 from pactrellis.decoder import (
     DecoderConfig,
@@ -27,7 +27,7 @@ from pactrellis.pac_core import (
     polar_transform,
     rate_profile_insert,
 )
-from pactrellis.sc_engine import ScBank
+from pactrellis.sc_engine import ScBank, f_exact, f_minsum
 from pactrellis.schedule import node_schedule, node_tables
 from pactrellis.sim import SimPlan, batch_size
 
@@ -223,7 +223,7 @@ class TestExtendInfo:
         assert list(ps.states) == [0, 1]
         assert list(ps.bank.beta[:, 0]) == [0, 1]  # committed u of bit 0, per row
         assert [ps.traceback(i)[0] for i in range(ps.size)] == [0, 1]
-        assert list(ps.parents[0, :2]) == [0, 0] and list(ps.bits[0, :2]) == [0, 1]
+        assert list(ps.positions[0, :2]) == [0, 1]  # parent 0's v = 0 child, then its v = 1
 
 
 class TestPrune:
@@ -472,7 +472,7 @@ class TestDecode:
 
         def hook(t, ps):
             live[:] = [ps]
-            assert ps.bank.llr.shape == (ps.size, code.N - 1)
+            assert ps.bank.llr.shape == (ps.size, code.N // 2 - 1)
             assert ps.bank.beta.shape == (ps.size, code.N - 1)
             rows.append(ps.bank.llr.shape[0])
 
@@ -758,7 +758,7 @@ class TestStepPlan:
         assert plans[0] is step_plan(code, cfg)
         arrays = [value for step in plans[0] for value in
                   (step.states, step.signs, step.xs, step.children, step.after, step.child_xs,
-                   step.parents, step.bits) if value is not None]
+                   step.positions) if value is not None]
         assert arrays and not any(a.flags.writeable for a in arrays)
 
     def test_threads_decode_as_one(self):
@@ -844,7 +844,7 @@ class TestBatch:
 
             def hook(t, ps):
                 assert ps.frames == 3 and ps.size % 3 == 0
-                assert ps.bank.llr.shape == (3, ps.size // 3, code.N - 1)
+                assert ps.bank.llr.shape == (3, ps.size // 3, code.N // 2 - 1)
                 states = ps.states.reshape(3, -1)
                 if cfg.sorting == "local":
                     assert (states == states[0]).all()
@@ -854,31 +854,33 @@ class TestBatch:
             assert max(seen) == min(cfg.budget(code.m), 1 << code.K)
 
     def test_backpointers_fill_one_table(self, rng):
-        # one (K, rows) table each for parent rows and bits, narrow where rows allow
+        # one (K, rows) table of positions among a frame's children, narrow where the
+        # paths a frame holds allow: one byte up to 128 paths
         code = PacCode.rm(5, 16, 0o133)
         x = np.stack([make_trial(code, 1.0, rng)[1] for _ in range(2)])
         ps = final_pathset(x, code, DecoderConfig("global", 4))
         assert ps.decided == code.K
-        assert ps.parents.shape == ps.bits.shape == (code.K, 8)
-        assert ps.parents.dtype == np.int16 and ps.bits.dtype == bool
-        # 2^15 rows need wide parent rows
+        assert ps.positions.shape == (code.K, 8) and ps.positions.dtype == np.uint8
+        assert ps.positions.max() < 8  # 2 x 4 children a frame
+        assert PathSet(x, code, DecoderConfig("global", 128)).positions.dtype == np.uint8
+        # 2^15 paths a frame have 2^16 children: two bytes
         code = PacCode(4, 16, range(16), 0o3)
         wide = PathSet(np.ones(16), code, DecoderConfig("global", 1 << 15))
-        assert wide.parents.shape == (16, 1 << 15) and wide.parents.dtype == np.intp
+        assert wide.positions.shape == (16, 1 << 15) and wide.positions.dtype == np.uint16
 
     @pytest.mark.parametrize("n, K, config", [
-        (10, 512, DecoderConfig("global", 32)),  # SCL-32: 4 frames
-        (7, 64, DecoderConfig("local", 2)),  # LVA-128: 8 frames
-        (7, 64, DecoderConfig("local", 1)),  # VA: 16 frames
+        (10, 512, DecoderConfig("global", 32)),  # SCL-32: 6 frames
+        (7, 64, DecoderConfig("local", 2)),  # LVA-128: 13 frames
+        (7, 64, DecoderConfig("local", 1)),  # VA: 26 frames
     ], ids=["scl32-n1024", "lva128-n128", "va-n128"])
     def test_batch_at_the_bank_cap_stays_within_its_memory(self, n, K, config):
-        # a batch that sim decodes in a bank of 128 x 1,023 row slots.  A 2-frame SCL-32
-        # batch of the two-sided bank peaked at 1,908 KiB; one decode of each batch reads
-        # about 1,640-1,660 KiB and must stay within 1,700: the bank makes its large
-        # temporaries one frame at a time and frees the g-update's sign block before the
-        # f-updates (without either, SCL-32 read 2,150 and 1,770 KiB).  LVA-128 and VA
-        # read about 1,920 KiB with shrinking cuts gathered whole, and 1,730 with the
-        # children's penalties in an array of their own
+        # a batch that sim decodes in 128 x 1,023 x 9 bytes of bank rows and backpointers.
+        # A 2-frame SCL-32 batch of the two-sided bank peaked at 1,908 KiB; one decode of
+        # each batch reads about 1,520-1,620 KiB and must stay within 1,700: the bank
+        # makes its large temporaries one frame at a time and frees the g-update's sign
+        # block before the f-updates (without either, SCL-32 read 2,150 and 1,770 KiB).
+        # LVA-128 and VA read about 1,920 KiB at 8 and 16 frames with shrinking cuts
+        # gathered whole, and 1,730 with the children's penalties in an array of their own
         code = PacCode.rm(n, K, 0o133)
         frames = batch_size(SimPlan(code, config, (2.0,)))
         x = np.stack([make_trial(code, 2.0, np.random.default_rng(i))[1] for i in range(frames)])
@@ -906,3 +908,72 @@ class TestBatch:
     def test_rejects_bad_batch_shapes(self, shape):
         with pytest.raises(ValueError):
             decode(np.ones(shape), PacCode.rm(4, 8, 0o3), DecoderConfig())
+
+
+def half_node_codes():
+    """Codes of N = 1 .. 8 with a node of N/2 bits in each half, A = {N/2 - 1, N - 1}, or
+    only the last bit, A = {N - 1}: one node of the whole code, bit by bit under mixed rules."""
+    codes = []
+    for n in range(4):
+        N = 1 << n
+        codes += [PacCode(n, len(A), sorted(A), 0o7) for A in ({N // 2 - 1, N - 1}, {N - 1})
+                  if min(A) >= 0]
+    return codes
+
+
+RULE_PAIRS = (("approximate", "min-sum"), ("exact", "exact"), ("exact", "min-sum"),
+              ("approximate", "exact"))
+
+
+class TestStageNMinusOne:
+    """Stage n - 1 is one block per frame before bit N/2 and rebuilt after it."""
+
+    @pytest.mark.parametrize("metric, rule", RULE_PAIRS)
+    @pytest.mark.parametrize("code", half_node_codes(), ids=node_code_id)
+    def test_decodes_match_the_oracles(self, code, metric, rule, rng):
+        # every path a decode keeps has the forced metric of the independent oracle, each
+        # frame of a 3-frame batch as its own call; with every message kept, the survivors
+        # are the whole codebook, and the winner is the ML message
+        N = code.N
+        for sorting, L in (("global", 1), ("global", 4), ("local", 1), ("local", 2)):
+            cfg = DecoderConfig(sorting, L, metric, rule)
+            per = cfg.paths_per_frame(code)
+            x = np.stack([make_trial(code, 1.0, rng)[1] for _ in range(3)])
+            banks = []
+
+            def hook(t, ps):
+                banks.append(ps.bank)
+                # rows of N/2 - 1 LLRs; the first half's stage n - 1 a block per frame,
+                # apart from the rows and the channel
+                assert ps.bank._llr_buf.shape == (ps.frames, per, max(N // 2 - 1, 0))
+                assert ps.bank._first.size == ps.frames * (N // 2)
+                for rows in (ps.bank._llr_buf, ps.bank._beta_buf, ps.bank.channel):
+                    assert not np.shares_memory(ps.bank._first, rows)
+
+            batch = decode(x, code, cfg, step_hook=hook)
+            assert banks
+            for f, frame in enumerate(x):
+                one = decode(frame, code, cfg, step_hook=hook)
+                for name in ("d_hat", "v_hat", "u_hat", "survivor_metrics"):
+                    assert getattr(batch, name)[f].tobytes() == getattr(one, name).tobytes()
+                assert batch.metric[f] == one.metric
+                forced = forced_path_metrics(frame, one.u_hat, metric, rule)[0]
+                assert one.metric == pytest.approx(forced, rel=1e-12, abs=1e-12)
+                if per == 1 << code.K:  # no path was cut
+                    msgs, _, metrics = codebook_metrics(frame, code, metric, rule)
+                    assert np.allclose(one.survivor_metrics, np.sort(metrics), rtol=1e-12,
+                                       atol=1e-12)
+                    assert np.array_equal(one.d_hat, msgs[np.argmin(metrics)])
+
+    @pytest.mark.parametrize("frames", [1, 3])
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("combining", ["min-sum", "exact"])
+    def test_first_half_block_is_one_per_frame(self, N, frames, combining, rng):
+        llrs = rng.normal(0, 2, (frames, N))
+        bank = ScBank(llrs if frames > 1 else llrs[0], combining, capacity=4 * frames)
+        h = N // 2
+        f = f_minsum if combining == "min-sum" else f_exact
+        assert bank._llr_buf.shape == (frames, 4, max(h - 1, 0))
+        assert np.array_equal(bank._first.reshape(frames, h), f(llrs[:, :h], llrs[:, h:2 * h]))
+        assert not np.shares_memory(bank._first, bank._llr_buf)
+        assert not np.shares_memory(bank._first, bank._beta_buf)

@@ -247,6 +247,10 @@ class TestNodeUpdates:
                 lam = bits.update_llrs()
                 if s:
                     expect = llrs if w == N else bits.llr[0, w - 1 : 2 * w - 1]
+                    if 2 * w == N:  # stage n - 1, in no row: f or g of the channel halves
+                        f = f_minsum if combining == "min-sum" else f_exact
+                        lo, hi = llrs[:w], llrs[w:]
+                        expect = hi + (1 - 2 * polar_transform(u[:w])) * lo if t else f(lo, hi)
                     assert alpha.shape == (1, w) and np.array_equal(alpha[0], expect)
                 else:
                     assert np.array_equal(alpha, lam)
@@ -383,10 +387,10 @@ class TestBankBatching:
             with pytest.raises(IndexError):
                 bank.take(np.array(rows))
         bank.take([1, 2])
-        assert bank.llr.shape == (2, 1, 7)
+        assert bank.llr.shape == (2, 1, 3)
 
     def test_channel_stage_is_shared(self, rng):
-        # rows hold only the N - 1 intermediate slots; the channel LLRs are one read-only vector
+        # rows hold only the N/2 - 1 intermediate slots; the channel LLRs are one read-only vector
         llrs = rng.normal(0, 1, 16)
         bank = ScBank(llrs, capacity=4)
         assert not np.shares_memory(bank.channel, llrs)
@@ -394,7 +398,7 @@ class TestBankBatching:
             bank.update_llrs()
             bank.take(np.array(rows))
             bank.update_partial_sums(rng.integers(0, 2, len(rows)).astype(np.int8))
-            assert bank.llr.shape == (len(rows), 15)
+            assert bank.llr.shape == (len(rows), 7)
         assert np.array_equal(bank.channel, llrs)
         assert bank.channel.shape == (16,) and not bank.channel.flags.writeable
         assert not np.shares_memory(bank.channel, bank._llr_buf)
@@ -442,6 +446,17 @@ class TestBankBatching:
                     bank.update_partial_sums(xf if s else xf[:, 0])
                     assert np.array_equal(llr[f * rows : (f + 1) * rows], bank.paths()[0])
                     assert np.array_equal(beta[f * rows : (f + 1) * rows], bank.paths()[1])
+
+    @pytest.mark.parametrize("combining", ["min-sum", "exact"])
+    def test_top_nodes_read_every_path_of_a_frame(self, combining, rng):
+        # a node of the whole code, or of N/2 bits before bit N/2, gives every path its
+        # frame's block, however many paths a frame holds
+        llrs = rng.normal(0, 2, (2, 8))
+        f = f_minsum if combining == "min-sum" else f_exact
+        for stage, expect in ((3, llrs), (2, f(llrs[:, :4], llrs[:, 4:]))):
+            bank = ScBank(llrs, combining, capacity=6)
+            bank.take([0, 0, 0, 1, 1, 1])
+            assert np.array_equal(bank.update_llrs(stage), np.repeat(expect, 3, axis=0))
 
     @pytest.mark.parametrize("shape", [(0, 8), (2, 2, 8), (2, 6)])
     def test_rejects_bad_frame_shapes(self, shape):

@@ -160,7 +160,7 @@ class TestRunPoint:
             return decode(llrs, code, config)
 
         plan = small_plan(snr_points=(snr,), min_frame_errors=min_errors)
-        assert sim.batch_size(plan) == 64  # the frame cap: 2 paths of 15 slots fit 4,364 frames
+        assert sim.batch_size(plan) == 64  # the frame cap: 2 paths of 79 bytes fit 7,458 frames
         monkeypatch.setattr(sim, "decode", counting_decode)
         point = run_point(plan, 0)
         monkeypatch.undo()
@@ -178,18 +178,20 @@ class TestRunPoint:
         assert point.bit_errors == sum(errs for _, errs in trials[:stop])
 
     def test_batch_size_fills_the_bank_bytes(self):
-        # a batch holds at most 128 x 1,023 row slots, paths x (N - 1), and 64 frames
+        # a batch's paths hold at most 128 x 1,023 x 9 bytes, each a bank row of N/2 - 1
+        # LLRs and N - 1 partial sums and a column of K one-byte backpointers, and 64 frames
         for (n, K, gen), name, list_size, frames in (
-                ((10, 512, 0o133), "scl", 32, 4), ((10, 512, 0o133), "scl", 8, 16),
+                ((10, 512, 0o133), "scl", 32, 6), ((10, 512, 0o133), "scl", 8, 26),
                 ((10, 512, 0o133), "sc", None, 64), ((10, 512, 0o133), "lva", 2, 1),
-                ((10, 512, 0o133), "va", None, 2), ((7, 64, 0o73), "lva", 1, 32),
-                ((7, 64, 0o133), "lva", 2, 8), ((7, 64, 0o133), "scl", 8, 64)):
+                ((10, 512, 0o133), "va", None, 3), ((7, 64, 0o73), "lva", 1, 52),
+                ((7, 64, 0o133), "lva", 2, 13), ((7, 64, 0o133), "va", None, 26),
+                ((7, 64, 0o133), "scl", 8, 64)):
             plan = small_plan(code=PacCode.rm(n, K, gen),
                               decoder=DecoderConfig.from_name(name, list_size))
             assert sim.batch_size(plan) == frames
         # a code with few messages keeps fewer paths than the budget: 4, not 256
         plan = small_plan(code=PacCode.rm(10, 2, 0o133), decoder=DecoderConfig("local", 4))
-        assert sim.batch_size(plan) == 32
+        assert sim.batch_size(plan) == 57
 
     def test_trial_reproducible_in_isolation(self):
         plan = small_plan(snr_points=(1.0,))
