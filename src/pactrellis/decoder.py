@@ -103,7 +103,8 @@ class DecoderConfig:
     def __post_init__(self):
         if self.sorting not in SORTING_MODES:
             raise ValueError(f"sorting must be one of {SORTING_MODES}, got {self.sorting!r}")
-        if not isinstance(self.list_size, (int, np.integer)) or self.list_size < 1:
+        if (isinstance(self.list_size, bool) or not isinstance(self.list_size, (int, np.integer))
+                or self.list_size < 1):
             raise ValueError(f"list_size must be a positive integer, got {self.list_size!r}")
         if self.metric_mode not in METRIC_MODES:
             raise ValueError(f"metric_mode must be one of {METRIC_MODES}, got {self.metric_mode!r}")
@@ -173,9 +174,12 @@ def _position_dtype(paths: int) -> np.dtype:
 
 
 def frame_bytes(code: PacCode, config: DecoderConfig) -> int:
-    """The bytes a frame's paths hold in a decode: bank rows and backpointer columns."""
-    paths = config.paths_per_frame(code)
-    return paths * (ScBank.row_bytes(code.N) + code.K * _position_dtype(paths).itemsize)
+    """The bytes a frame holds in a decode: its bank rows and blocks, its paths' backpointer
+    columns, and 4 floats (node LLRs, signs, two z blocks) a parent and bit of the widest step."""
+    paths, steps = config.paths_per_frame(code), step_plan(code, config)
+    widest = max(per << step.stage for per, step in zip((1, *(s.paths for s in steps)), steps))
+    return (ScBank.frame_bytes(code.N, paths) + paths * code.K * _position_dtype(paths).itemsize
+            + 4 * np.dtype(float).itemsize * widest)
 
 
 @lru_cache(maxsize=256)

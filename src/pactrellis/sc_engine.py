@@ -2,17 +2,16 @@
 
 The factor graph has n+1 stages; stage n holds the N channel LLRs and stage 0
 produces the per-bit decision LLR.  The channel stage is the same for every
-path, so it is stored once, as a read-only vector read by broadcast; so is stage
-n-1 over the code's first half, f(channel halves).  Over the second half the
-updates that read stage n-1 rebuild it, channel_hi + (1 - 2 beta) channel_lo
-from a path's stage n-1 sums beta.  Only one block per other stage is ever
-live, so those LLRs are stored compactly: stage s < n-1 occupies slots
-[2^s - 1, 2^{s+1} - 1) of an (N/2 - 1)-slot row.  Partial sums use the same
-layout over N - 1 slots (Tal and Vardy's per-stage arrays): stage s holds only
-its pending left block, the one the next g-update at that stage reads.
-Committing bit t folds the new sums up through the stages of the set low bits
-of t and parks the result at the first stage whose bit is clear.  No later bit
-reads the sums of bit N-1, so its commit folds nothing.
+path, so it is stored once, read by broadcast; so are stage n-1 over the first
+half and stage n-2 over the first quarter.  Elsewhere the updates that read them
+rebuild them from a path's sums.  Only one block per other stage is ever live,
+so those LLRs are stored compactly: stage s < n-2 occupies slots
+[2^s - 1, 2^{s+1} - 1) of an (N/4 - 1)-slot row.  Partial sums use the same
+layout over N - 1 sums (Tal and Vardy's per-stage arrays), packed 8 to a byte
+from stage 3: stage s holds only its pending left block, the one the next
+g-update at that stage reads.  Committing bit t folds the new sums up through
+the stages of the set low bits of t and parks the result at the first stage
+whose bit is clear.  No later bit reads the sums of bit N-1.
 
 The unit of both updates is a node: an aligned block of 2^s bits, decided in
 one step at stage s (a bit is the node at stage 0).  Nodes come in bit order, so
@@ -31,8 +30,7 @@ Parizi and Burg), allocated once for the most paths the bank will hold.  It
 starts with one path per frame.  Path splitting goes through ``grow``, which
 copies each frame's rows as one slice, and pruning through ``take``, which
 copies a row only for a path taken twice, and a frame's rows whole only where
-its path count changes.  Stage n-1 is read against each frame's rows, from the
-frame's own block or channel row.
+its path count changes.  Stages n-1 and n-2 are read against each frame's rows.
 """
 
 from __future__ import annotations
@@ -51,6 +49,8 @@ __all__ = [
 COMBINING_RULES = ("min-sum", "exact")
 
 _SIGN = np.array([1.0, -1.0])  # 1 - 2c for partial sum c
+_PACKED = 3  # sums of this stage and up are packed 8 a byte, in packbits order: _SIGN8's rows
+_SIGN8 = _SIGN.take(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1))
 # a bank of several frames makes a temporary of more elements than this (128 KiB of
 # LLRs) in runs of whole frames of at most this many (one frame where a frame holds
 # more), so that a batch's heap grows with its bank and no more
@@ -90,9 +90,9 @@ class ScBank:
     ``channel_llrs`` is one frame of N LLRs, or a (frames, N) array of
     several, decoded in lockstep, each finite and at most float max / N^2 in
     magnitude (path metrics reach N^2 times it).  They are kept once, in the
-    read-only array ``channel``, as given, and so is stage n-1 of the first
-    half; a row holds N/2 - 1 LLRs (stages 0 .. n-2) and N - 1 partial sums,
-    both in the per-stage layout of the module docstring.  The bank starts
+    read-only array ``channel``, as given, and so are stage n-1 of the first
+    half and n-2 of the first quarter; a row holds N/4 - 1 LLRs (stages 0 ..
+    n-3) and N - 1 partial sums, both in the layout of the module docstring.  The bank starts
     with one path per frame, and every frame holds the same number of them.
     Updates follow the standard in-order schedule: ``update_llrs(s)`` then
     ``update_partial_sums(x)`` for nodes that tile 0 .. N-1 in order (s = 0,
@@ -113,13 +113,14 @@ class ScBank:
     The updates run over the live rows in place, whatever their order, and
     ``take`` moves as few rows as it can (see there).  A bank of several
     frames makes its large temporaries (a g-update's sign block, a rebuilt
-    stage n-1, the combining rule's, a growth's copy, a gather's) in runs of
-    whole frames of at most 2^14 elements each (one frame where a frame
-    holds more), so that its heap grows with its rows and no more.  ``llr``
-    and ``beta`` are the live rows, (rows, N/2 - 1) and (rows, N - 1), with
-    a frame axis when ``channel`` has one; ``paths`` returns them in path
-    order.  ``capacity`` is the most paths the bank holds, over all frames
-    (rounded up to a whole number per frame), at least 1.  Both buffers are
+    stage n-1 or n-2, the combining rule's, a growth's copy, a gather's) in
+    runs of whole frames of at most 2^14 elements each (one frame where a
+    frame holds more), so that its heap grows with its rows and no more.
+    ``llr`` and ``beta`` are the live rows, (rows, N/4 - 1) and (rows, N -
+    1), with a frame axis when ``channel`` has one; ``paths`` returns them
+    in path order, sums unpacked (``beta`` is a view only up to N = 8).
+    ``capacity`` is the most paths the bank holds, over all frames (rounded
+    up to a whole number per frame), at least 1.  Both buffers are
     allocated for it here and never again (fresh arrays at every information
     bit cost page faults under glibc's default malloc settings); ``take``
     rejects more paths.
@@ -134,7 +135,7 @@ class ScBank:
             raise ValueError(f"channel LLR length must be a power of two, got {N}")
         if frames < 1:
             raise ValueError("channel LLRs must hold at least one frame")
-        if capacity < 1:
+        if isinstance(capacity, bool) or capacity < 1:
             raise ValueError(f"capacity must be at least 1 path, got {capacity}")
         bound = np.finfo(float).max / N**2  # also false for NaN and +-inf
         if not (np.abs(llrs) <= bound).all():
@@ -153,12 +154,14 @@ class ScBank:
         # the reserve, rows per frame; beta's first: glibc's default malloc then reuses a
         # freed bank, not trims and refaults it
         self._cap = -(-capacity // frames)
-        self._beta_buf = np.empty((frames, self._cap, N - 1), dtype=np.int8)
-        self._llr_buf = np.empty((frames, self._cap, _llr_slots(N)))
-        self._beta_rows = self._beta_buf.reshape(frames * self._cap, N - 1)
-        self._llr_rows = self._llr_buf.reshape(frames * self._cap, _llr_slots(N))
-        h = N >> 1  # stage n - 1 of the first half, one block per frame, read as _channel is
+        llr_slots, sum_slots = _slots(N)
+        self._beta_buf = np.empty((frames, self._cap, sum_slots), dtype=np.uint8)
+        self._llr_buf = np.empty((frames, self._cap, llr_slots))
+        self._beta_rows = self._beta_buf.reshape(frames * self._cap, sum_slots)
+        self._llr_rows = self._llr_buf.reshape(frames * self._cap, llr_slots)
+        h, q = N >> 1, N >> 2  # stage n - 1's and n - 2's first blocks, read as _channel is
         self._first = self._f(self._channel[..., :h], self._channel[..., h : 2 * h])
+        self._quarter = self._f(self._first[..., :q], self._first[..., q : 2 * q])
         self._resize(1)
         self._llr[:] = 0.0
         self._beta[:] = 0
@@ -181,10 +184,11 @@ class ScBank:
         self._slots = slots
         # how the flat buffers are indexed to read or write every path, in path order
         self._paths = slice(self.frames * rows) if slots is None else slots
-        if self.frames == 1:
-            self._llr, self._beta = self._llr_rows[:rows], self._beta_rows[:rows]
-        else:
-            self._llr, self._beta = self._llr_buf[:, :rows], self._beta_buf[:, :rows]
+        self._llr, self._beta = self._live(self._llr_buf), self._live(self._beta_buf)
+
+    def _live(self, buf) -> np.ndarray:
+        """The live rows of a (frames, rows, ...) buffer, without the axis for one frame."""
+        return buf[0, : self._rows] if self.frames == 1 else buf[:, : self._rows]
 
     @property
     def n_paths(self) -> int:
@@ -202,17 +206,25 @@ class ScBank:
 
     @property
     def beta(self) -> np.ndarray:
-        """The live rows' partial sums, in row order (a view)."""
-        return self._beta_buf[:, : self._rows] if self.channel.ndim == 2 else self._beta
+        """The live rows' partial sums, in row order, unpacked (a view up to N = 8)."""
+        return self._unpacked(self._beta_buf[:, : self._rows] if self.channel.ndim == 2
+                              else self._beta)
 
     @staticmethod
-    def row_bytes(N: int) -> int:
-        """The bytes of one row of a bank of code length N: its LLRs and partial sums."""
-        return np.dtype(float).itemsize * _llr_slots(N) + N - 1
+    def frame_bytes(N: int, rows: int) -> int:
+        """The bytes a bank of code length N holds per frame of ``rows`` rows, blocks included."""
+        return rows * (8 * _slots(N)[0] + _slots(N)[1]) + 8 * (N + (N >> 1) + (N >> 2))
 
     def paths(self):
-        """Each path's LLRs and partial sums, in path order: (paths, N/2 - 1), (paths, N - 1)."""
-        return self._llr_rows[self._paths].copy(), self._beta_rows[self._paths].copy()
+        """Each path's LLRs and partial sums, in path order: (paths, N/4 - 1), (paths, N - 1)."""
+        paths = self._paths
+        return self._llr_rows[paths].copy(), self._unpacked(self._beta_rows[paths].copy())
+
+    def _unpacked(self, sums) -> np.ndarray:
+        """``sums`` with stages 3 and up unpacked, (..., N - 1): themselves up to N = 8."""
+        if self.N > 1 << _PACKED:
+            sums = np.concatenate((sums[..., :7], np.unpackbits(sums[..., 7:], axis=-1)), axis=-1)
+        return sums
 
     def update_llrs(self, stage: int = 0) -> np.ndarray:
         """Recompute the factor-graph nodes down to the 2^stage-bit node at ``t``; return its LLRs.
@@ -221,7 +233,7 @@ class ScBank:
         (stage 0) returns its decision LLRs, one per path, both in path
         order.  The node must start at a multiple of its width.  The result
         may be a view, valid until the next ``update_llrs`` or ``take``.
-        A node of N/2 bits returns stage n-1, its frame's or rebuilt.
+        A node of N/2 or N/4 bits returns stage n-1 or n-2, shared or rebuilt.
         """
         t, width = self._t, 1 << stage
         if self._pending:
@@ -232,50 +244,56 @@ class ScBank:
             raise ContractViolationError(
                 f"a node of {width} bits cannot start at bit {t} of {self.N}")
         # the g-update's stage, t's lowest set bit; bit 0 has none, its rows one per frame
-        top = (t & -t).bit_length() - 1 if t else self.n
-        g, fs, block = _llr_updates(self.n, top, stage)
-        self._pending, self._stage, h = True, stage, self.N >> 1
-        if block is None:  # the channel or stage n - 1: before bit N/2 one block per frame
-            if t >= h and stage < self.n:  # rebuilt in path order
-                sums = self._beta_rows[:, h - 1 :][self._paths].reshape(*self._beta.shape[:-1], h)
-                llrs = self._rebuild(sums, self._channel).reshape(-1, width)
+        n = self.n
+        top = (t & -t).bit_length() - 1 if t else n
+        g, fs, block = _llr_updates(n, top, stage)
+        self._pending, self._stage = True, stage
+        if block is None:  # stage n, n - 1 or n - 2: at bit 0 one block per frame
+            if t:  # rebuilt in path order
+                sums = self._beta_rows[self._paths].reshape(self._beta.shape)
+                llrs = self._rebuild(stage, t, sums, self._channel, self._first).reshape(-1, width)
             else:
-                src = (self._first if stage < self.n else self._channel).reshape(-1, 1, width)
+                src = (self._channel, self._first, self._quarter)[n - stage].reshape(-1, 1, width)
                 llrs = np.broadcast_to(src, (self.frames, self._rows, width)).reshape(-1, width)
             return llrs if stage else llrs[:, 0]
-        # the second half's updates that read stage n - 1 rebuild it first
-        rebuild = t >= h and top >= self.n - 2
-        parts = self._parts(self._rows << (self.n - 1 if rebuild else top))
+        # past bit N/4 the updates that read stage n - 2 rebuild it (from N values a row past N/2)
+        rebuild = t >= self.N >> 2 and top >= n - 3
+        parts = self._parts(self._rows << (n - (t < self.N >> 1) if rebuild else top))
         if parts is _WHOLE:  # no views: one per step showed in traced page faults
-            parts = ((self._llr, self._beta, self._channel, self._first),)
+            parts = ((self._llr, self._beta, self._channel, self._first, self._quarter),)
         else:
-            parts = [(self._llr[f], self._beta[f], self._channel[f], self._first[f]) for f in parts]
-        for llr, beta, channel, first in parts:
-            upper = self._rebuild(beta[..., h - 1 :], channel) if rebuild else first
+            parts = [(self._llr[f], self._beta[f], self._channel[f], self._first[f],
+                      self._quarter[f]) for f in parts]
+        for llr, beta, channel, first, quarter in parts:
+            upper = self._rebuild(n - 2, t, beta, channel, first) if rebuild else quarter
             self._recurse(llr, beta, upper, g, fs)
         block = self._llr_rows[:, block]  # a bit's one slot gives one LLR per row
         return block[self._paths] if self._slots is None else block.take(self._slots, axis=0)
 
-    def _rebuild(self, sums, channel) -> np.ndarray:
-        """Stage n - 1 over the second half, channel_hi + (1 - 2 sums) channel_lo: a new array."""
-        h = self.N >> 1
-        sign = _SIGN.take(sums)  # the product and the sum go into the sign's own block
-        return np.add(channel[..., h:], np.multiply(sign, channel[..., :h], out=sign), out=sign)
+    def _rebuild(self, stage: int, t: int, beta, channel, first) -> np.ndarray:
+        """Stage n - 1 (``first``, or channel_hi + (1 - 2 beta) channel_lo past bit N/2) or
+        n - 2 (f of its halves over the third quarter, else its g-update) at bit t > 0."""
+        n, h, q = self.n, self.N >> 1, self.N >> 2
+        above = _g(channel, _signs(beta, n - 1), h) if t >= h else first
+        if stage == n - 1:
+            return above
+        return (_g(above, _signs(beta, n - 2), q) if t & q
+                else self._f(above[..., :q], above[..., q:]))
 
     def _recurse(self, llr, beta, upper, g, fs) -> None:
-        """The g-update ``g`` (None at stages n - 1 and n), then the f-updates ``fs``, of one node.
+        """The g-update ``g`` (None at stages n - 2 and up), then the f-updates ``fs``, of one node.
 
         ``llr`` and ``beta`` are live rows, (rows, ...) or (frames, rows,
-        ...), and ``upper``, stage n - 1, is read against them.  Each update
+        ...), and ``upper``, stage n - 2, is read against them.  Each update
         reads the two halves of the stage above, from ``upper`` or from
         ``llr``, and writes its own stage's block.
         """
         if g is not None:
-            lo, hi, dst, from_upper = g
+            lo, hi, dst, from_upper, s = g
             src = upper if from_upper else llr
-            # b + (1 - 2 beta) a, the sign read from a table by the committed partial sum;
+            # b + (1 - 2 beta) a, the sign read from a table by the committed partial sums;
             # the product goes into the sign's own block: one (rows, w) temporary, not two
-            sign = _SIGN.take(beta[..., dst])
+            sign = _signs(beta, s)
             np.add(src[..., hi], np.multiply(sign, src[..., lo], out=sign), out=llr[..., dst])
             del sign  # not held through the f-updates below
         for lo, hi, dst, from_upper in fs:
@@ -295,9 +313,18 @@ class ScBank:
         last = self._t + (1 << self._stage) - 1
         high = (~last & (last + 1)).bit_length() - 1  # trailing one bits of the last bit
         if high < self.n:  # bit N - 1 would fold into stage n, which no later bit reads
-            sums, folds = _commit(high, self._stage)
-            self._beta_rows[:, sums][self._paths] = x
+            at, assemble, byte, folds = _commit(high, self._stage)
             beta = self._beta
+            if byte is None:  # whole-array packbits costs a third of its axis form
+                x = np.packbits(x).reshape(-1, at.stop - at.start) if self._stage >= _PACKED else x
+                self._beta_rows[:, at][self._paths] = x
+            else:  # stage 3's 8 sums are made apart, then packed
+                acc = np.empty((self.frames, self._cap, 1 << _PACKED), dtype=np.uint8)
+                acc.reshape(-1, 1 << _PACKED)[:, at][self._paths] = x
+                live = self._live(acc)
+                for a, b, out in assemble:
+                    np.bitwise_xor(beta[..., a], live[..., b], out=live[..., out])
+                beta[..., byte] = self._live(np.packbits(acc).reshape(self.frames, -1, 1))
             for a, b, out in folds:
                 np.bitwise_xor(beta[..., a], beta[..., b], out=beta[..., out])
         self._pending = False
@@ -407,9 +434,31 @@ class ScBank:
         self._resize(keep)
 
 
-def _llr_slots(N: int) -> int:
-    """The LLR slots of a row, stages 0 .. n - 2: N/2 - 1, and none at N = 1."""
-    return (N - 1) >> 1
+def _slots(N: int) -> tuple:
+    """A row's LLR slots, N/4 - 1 (none up to N = 4), and sum bytes, N/8 + 6 (N - 1 up to 8)."""
+    return max(0, (N >> 2) - 1), N - 1 if N <= 1 << _PACKED else (1 << _PACKED) - 2 + (N >> _PACKED)
+
+
+@lru_cache(maxsize=1024)
+def _sum_slot(s: int, stage: int) -> slice:
+    """The slots of the last 2^s sums of stage ``stage``'s block (8 sums a slot from stage 3)."""
+    if stage < _PACKED:
+        return slice((2 << stage) - 1 - (1 << s), (2 << stage) - 1)
+    end = (1 << _PACKED) - 2 + (2 << stage - _PACKED)
+    return slice(end - (1 << s - _PACKED), end)
+
+
+def _signs(beta, s: int) -> np.ndarray:
+    """1 - 2 beta over stage s's block as floats, a new array (8 a byte from stage 3)."""
+    sums = beta[..., _sum_slot(s, s)]
+    if s < _PACKED:
+        return _SIGN.take(sums)
+    return _SIGN8.take(sums, axis=0).reshape(*sums.shape[:-1], 1 << s)
+
+
+def _g(src, sign, w: int) -> np.ndarray:
+    """The g-update src_hi + sign src_lo of the halves of ``src``, w wide, into ``sign``."""
+    return np.add(src[..., w : 2 * w], np.multiply(sign, src[..., :w], out=sign), out=sign)
 
 
 @lru_cache(maxsize=256)
@@ -420,13 +469,13 @@ def _runs(frames: int, run: int) -> tuple:
 
 @lru_cache(maxsize=1024)
 def _update(n: int, s: int) -> tuple:
-    """The slots of the update of stage s < n - 1: (lo, hi, dst, from_upper).
+    """The update of stage s < n - 2: (lo, hi, dst, from_upper).
 
-    It reads the halves lo and hi of the stage above, stage n - 1's block
-    for stage n - 2, and writes its own stage's slots dst.
+    It reads the halves lo and hi of the stage above, stage n - 2's block
+    for stage n - 3, and writes its own stage's slots dst.
     """
     w = 1 << s
-    if s + 2 == n:
+    if s + 3 == n:
         return slice(0, w), slice(w, 2 * w), slice(w - 1, 2 * w - 1), True
     above = 2 * w - 1  # where the stage above's block starts
     return slice(above, above + w), slice(above + w, above + 2 * w), slice(w - 1, above), False
@@ -436,27 +485,36 @@ def _update(n: int, s: int) -> tuple:
 def _llr_updates(n: int, top: int, stage: int) -> tuple:
     """(g, fs, block) of a node of 2^stage bits whose g-update is at stage ``top``.
 
-    The g-update (None at bit 0, where ``top`` is n, and at stage n - 1,
-    whose block is made apart), the f-updates from stage n - 2 or below down
-    to the node's stage (``_update`` each), and the node's slots: slot 0 for
-    a bit, None for a node of stage n - 1 or n.
+    The g-update and the stage of the sums it reads (None at bit 0, where
+    ``top`` is n, and at stages n - 1 and n - 2, made apart), the f-updates
+    from stage n - 3 or below down to the node's stage (``_update`` each),
+    and the node's slots: slot 0 for a bit, None from stage n - 2.
     """
     width = 1 << stage
-    return (_update(n, top) if top < n - 1 else None,
-            tuple(_update(n, s) for s in range(min(top, n - 1) - 1, stage - 1, -1)),
-            None if stage >= n - 1 else slice(width - 1, 2 * width - 1) if stage else 0)
+    return ((*_update(n, top), top) if top < n - 2 else None,
+            tuple(_update(n, s) for s in range(min(top, n - 2) - 1, stage - 1, -1)),
+            None if stage >= n - 2 else slice(width - 1, 2 * width - 1) if stage else 0)
 
 
 @lru_cache(maxsize=1024)
 def _commit(high: int, stage: int) -> tuple:
-    """(sums, folds) of a node of 2^stage bits whose last bit has ``high`` trailing ones.
+    """(at, assemble, byte, folds) of a node of 2^stage bits ending in ``high`` trailing ones.
 
-    The node's last bit closes a right block at each stage from the node's
-    up to high; each folds, (a, b, out), into that stage's left block,
-    filling the merged block from its right end, and the merged block parks
-    at stage high.  ``sums`` are the slots the node's own sums go to.
+    The node's last bit closes a right block at each stage from the node's up to high; each
+    folds, (a, b, out), into that stage's left block, filling the merged block from its right
+    end, and the merged block parks at stage high.  The node's sums go to ``at`` (packed from
+    stage 3) and ``folds`` run in the row; but a node below stage 3 parking above it puts them
+    in ``at`` of 8 sums apart, folded up to stage 3 by ``assemble`` and packed into ``byte``.
     """
-    end = (2 << high) - 1
+    apart = stage < _PACKED <= high
+    folds = tuple((_sum_slot(s, s), _sum_slot(s, high),
+                   slice(_sum_slot(s + 1, high).start, _sum_slot(s, high).start))
+                  for s in range(_PACKED if apart else stage, high))
+    if not apart:
+        at = _sum_slot(stage, high)
+        return at if stage else at.start, (), None, folds
+    end = 1 << _PACKED  # filled from its right end, as a row's block is
     return (slice(end - (1 << stage), end) if stage else end - 1,
-            tuple((slice((1 << s) - 1, (2 << s) - 1), slice(end - (1 << s), end),
-                   slice(end - (2 << s), end - (1 << s))) for s in range(stage, high)))
+            tuple((_sum_slot(s, s), slice(end - (1 << s), end),
+                   slice(end - (2 << s), end - (1 << s))) for s in range(stage, _PACKED)),
+            _sum_slot(_PACKED, high), folds)

@@ -16,18 +16,18 @@ true stopping trial, so the reported prefix is the same whatever the worker
 count and results are byte-identical for any ``workers`` value.  A serial
 run decodes exactly that prefix.
 
-Inside a chunk, trials run in lockstep batches (``batch_size``): a batch's
-paths hold at most ``BANK_BYTES`` in SC bank rows and backpointers
-(``decoder.frame_bytes``), and a batch at most ``LOCKSTEP_FRAMES`` frames,
-never more than the errors still missing.  SCL-32 on PAC(1024,512) runs 6
-frames a batch; on PAC(128,64) LVA with 32 paths runs 52, LVA with 128
-paths 13, VA 26 and SCL-8 64.  Each trial draws its message, then
-its noise, from its own generator as above (``trial_rng`` resets one
-reused generator per trial); the batch is encoded, modulated, turned into
-LLRs and decoded as one array, one ``decode`` call.  A chunk returns each
-trial's bit-error count, a frame error where nonzero.  Each trial adds at
-most one frame error, so a batch that meets the target ends on the stopping
-trial.  ``run_trial`` is the batch of one.
+Inside a chunk, trials run in lockstep batches (``batch_size``): a batch
+holds at most ``BATCH_BYTES``, each frame its bank rows, backpointers, bank
+blocks and widest step (``decoder.frame_bytes``), and at most
+``LOCKSTEP_FRAMES`` frames, never more than the errors still missing.
+SCL-32 on PAC(1024,512) runs 12 frames a batch and SCL-8 36; on PAC(128,64)
+LVA with 32 paths runs 64, LVA with 128 paths 20, VA 40 and SCL-8 64.  Each
+trial draws its message, then its noise, from its own generator as above
+(``trial_rng`` resets one reused generator per trial); the batch is encoded,
+modulated, turned into LLRs and decoded as one array, one ``decode`` call.
+A chunk returns each trial's bit-error count, a frame error where nonzero.
+Each trial adds at most one frame error, so a batch that meets the target
+ends on the stopping trial.  ``run_trial`` is the batch of one.
 
 ``workers=1`` (the default) runs every chunk in the calling process and loads
 no process-pool modules; ``workers`` > 1 imports ``concurrent.futures`` and
@@ -65,9 +65,7 @@ __all__ = [
 ]
 
 TRIALS_PER_CHUNK = 200
-# a lockstep batch's paths hold at most this many bytes of bank rows and backpointers:
-# a bank of 128 rows of 1,023 LLRs and 1,023 partial sums at N = 1024, 9 bytes a slot
-BANK_BYTES = 128 * 1023 * 9
+BATCH_BYTES = 12 * 133_056  # bytes a lockstep batch holds: 12 SCL-32 frames of PAC(1024,512)
 # and at most this many frames, so that small codes do not batch a whole chunk
 LOCKSTEP_FRAMES = 64
 
@@ -160,11 +158,11 @@ def run_trial(plan: SimPlan, snr_index: int, trial_index: int):
 
 
 def batch_size(plan: SimPlan) -> int:
-    """Frames per lockstep batch: as many as fit ``BANK_BYTES``, at most ``LOCKSTEP_FRAMES``.
+    """Frames per lockstep batch: as many as fit ``BATCH_BYTES``, at most ``LOCKSTEP_FRAMES``.
 
     A frame takes ``decoder.frame_bytes``; a batch holds at least one.
     """
-    return max(1, min(LOCKSTEP_FRAMES, BANK_BYTES // frame_bytes(plan.code, plan.decoder)))
+    return max(1, min(LOCKSTEP_FRAMES, BATCH_BYTES // frame_bytes(plan.code, plan.decoder)))
 
 
 def _run_chunk(plan: SimPlan, snr_index: int, start: int, count: int, stop_at: int):

@@ -94,6 +94,13 @@ class TestDecoderConfig:
                 DecoderConfig.from_name(name, list_size)
         assert DecoderConfig.from_name("sc", 1) == DecoderConfig("global", 1)
 
+    @pytest.mark.parametrize("flag", [True, False, np.bool_(True)])
+    def test_rejects_a_bool_list_size(self, flag):
+        # bool is an int, so True would pass as a list size of 1
+        with pytest.raises(ValueError, match="list_size"):
+            DecoderConfig("global", flag)
+        assert DecoderConfig("global", np.int64(2)).list_size == 2
+
     def test_budget(self):
         assert DecoderConfig("global", 8).budget(m=4) == 8
         assert DecoderConfig("local", 8).budget(m=4) == 128
@@ -472,7 +479,7 @@ class TestDecode:
 
         def hook(t, ps):
             live[:] = [ps]
-            assert ps.bank.llr.shape == (ps.size, code.N // 2 - 1)
+            assert ps.bank.llr.shape == (ps.size, code.N // 4 - 1)
             assert ps.bank.beta.shape == (ps.size, code.N - 1)
             rows.append(ps.bank.llr.shape[0])
 
@@ -844,7 +851,7 @@ class TestBatch:
 
             def hook(t, ps):
                 assert ps.frames == 3 and ps.size % 3 == 0
-                assert ps.bank.llr.shape == (3, ps.size // 3, code.N // 2 - 1)
+                assert ps.bank.llr.shape == (3, ps.size // 3, code.N // 4 - 1)
                 states = ps.states.reshape(3, -1)
                 if cfg.sorting == "local":
                     assert (states == states[0]).all()
@@ -861,27 +868,36 @@ class TestBatch:
         ps = final_pathset(x, code, DecoderConfig("global", 4))
         assert ps.decided == code.K
         assert ps.positions.shape == (code.K, 8) and ps.positions.dtype == np.uint8
-        assert ps.positions.max() < 8  # 2 x 4 children a frame
+        # 2 x 4 children a frame, in the columns each information bit writes (the table is
+        # not cleared, so a growth's unwritten columns hold whatever the heap held)
+        kept = [step.paths * 2 for step in ps.steps if step.info]
+        assert all(ps.positions[j, :k].max() < 8 for j, k in enumerate(kept))
         assert PathSet(x, code, DecoderConfig("global", 128)).positions.dtype == np.uint8
         # 2^15 paths a frame have 2^16 children: two bytes
         code = PacCode(4, 16, range(16), 0o3)
         wide = PathSet(np.ones(16), code, DecoderConfig("global", 1 << 15))
         assert wide.positions.shape == (16, 1 << 15) and wide.positions.dtype == np.uint16
 
-    @pytest.mark.parametrize("n, K, config", [
-        (10, 512, DecoderConfig("global", 32)),  # SCL-32: 6 frames
-        (7, 64, DecoderConfig("local", 2)),  # LVA-128: 13 frames
-        (7, 64, DecoderConfig("local", 1)),  # VA: 26 frames
-    ], ids=["scl32-n1024", "lva128-n128", "va-n128"])
-    def test_batch_at_the_bank_cap_stays_within_its_memory(self, n, K, config):
-        # a batch that sim decodes in 128 x 1,023 x 9 bytes of bank rows and backpointers.
-        # A 2-frame SCL-32 batch of the two-sided bank peaked at 1,908 KiB; one decode of
-        # each batch reads about 1,520-1,620 KiB and must stay within 1,700: the bank
-        # makes its large temporaries one frame at a time and frees the g-update's sign
-        # block before the f-updates (without either, SCL-32 read 2,150 and 1,770 KiB).
-        # LVA-128 and VA read about 1,920 KiB at 8 and 16 frames with shrinking cuts
-        # gathered whole, and 1,730 with the children's penalties in an array of their own
-        code = PacCode.rm(n, K, 0o133)
+    @pytest.mark.parametrize("n, K, gen, config", [
+        (10, 512, 0o133, DecoderConfig("global", 32)),  # SCL-32: 12 frames
+        (7, 64, 0o133, DecoderConfig("local", 2)),  # LVA-128: 20 frames
+        (7, 64, 0o133, DecoderConfig("local", 1)),  # VA: 40 frames
+        (7, 64, 0o133, DecoderConfig("global", 32)),  # LD32: 64 frames
+        (7, 64, 0o73, DecoderConfig("local", 1)),  # LVA32: 64 frames
+        (10, 512, 0o133, DecoderConfig("global", 8)),  # SCL-8: 36 frames
+    ], ids=["scl32-n1024", "lva128-n128", "va-n128", "ld32-n128", "lva32-n128", "scl8-n1024"])
+    def test_batch_at_the_bank_cap_stays_within_its_memory(self, n, K, gen, config):
+        # a batch that sim decodes in 12 x 133,056 bytes, each frame charged its rows,
+        # backpointers, bank blocks and widest step.  A 2-frame SCL-32 batch of the
+        # two-sided bank peaked at 1,908 KiB; one decode of each batch must stay within
+        # 1,700: the bank makes its large temporaries one frame at a time and frees the
+        # g-update's sign block before the f-updates (without either, SCL-32 read 2,150
+        # and 1,770 KiB at 4 frames).  LVA-128 and VA read about 1,920 KiB at 8 and 16
+        # frames with shrinking cuts gathered whole, and 1,730 with the children's
+        # penalties in an array of their own.  Rows of N/2 - 1 LLRs and unpacked sums,
+        # charged rows and backpointers alone, gave SCL-32 6 frames (1,523 KiB), LVA-128
+        # 13 (1,594), VA 26 (1,613), LD32 and LVA32 52 (1,678 and 1,652)
+        code = PacCode.rm(n, K, gen)
         frames = batch_size(SimPlan(code, config, (2.0,)))
         x = np.stack([make_trial(code, 2.0, np.random.default_rng(i))[1] for i in range(frames)])
         decode(x, code, config)  # the cached schedule and tables are made here
@@ -911,14 +927,18 @@ class TestBatch:
 
 
 def half_node_codes():
-    """Codes of N = 1 .. 8 with a node of N/2 bits in each half, A = {N/2 - 1, N - 1}, or
-    only the last bit, A = {N - 1}: one node of the whole code, bit by bit under mixed rules."""
-    codes = []
-    for n in range(4):
-        N = 1 << n
-        codes += [PacCode(n, len(A), sorted(A), 0o7) for A in ({N // 2 - 1, N - 1}, {N - 1})
-                  if min(A) >= 0]
-    return codes
+    """Codes of N = 1 .. 32 with a node of N/2 bits in each half, A = {N/2 - 1, N - 1}, or
+    only the last bit, A = {N - 1}: one node of the whole code, bit by bit under mixed rules;
+    and, from N = 4, nodes of N/4 bits: a REP node in each quarter, REP and Rate-0 nodes
+    in turn, or Rate-0 nodes in the first and third quarters."""
+    codes = {}
+    for n in range(6):
+        N, h, q = 1 << n, 1 << n >> 1, 1 << n >> 2
+        for A in ({h - 1, N - 1}, {N - 1}, {q - 1, h - 1, h + q - 1, N - 1}, {q - 1, h + q - 1},
+                  {q, h - 1, h + q, N - 1}):
+            if min(A) >= 0 and (n, *sorted(A)) not in codes:
+                codes[n, *sorted(A)] = PacCode(n, len(A), sorted(A), 0o7)
+    return list(codes.values())
 
 
 RULE_PAIRS = (("approximate", "min-sum"), ("exact", "exact"), ("exact", "min-sum"),
@@ -926,7 +946,8 @@ RULE_PAIRS = (("approximate", "min-sum"), ("exact", "exact"), ("exact", "min-sum
 
 
 class TestStageNMinusOne:
-    """Stage n - 1 is one block per frame before bit N/2 and rebuilt after it."""
+    """Stage n - 1 is one block per frame before bit N/2 and rebuilt after it; stage n - 2
+    is one block per frame before bit N/4 and rebuilt after it."""
 
     @pytest.mark.parametrize("metric, rule", RULE_PAIRS)
     @pytest.mark.parametrize("code", half_node_codes(), ids=node_code_id)
@@ -943,12 +964,15 @@ class TestStageNMinusOne:
 
             def hook(t, ps):
                 banks.append(ps.bank)
-                # rows of N/2 - 1 LLRs; the first half's stage n - 1 a block per frame,
-                # apart from the rows and the channel
-                assert ps.bank._llr_buf.shape == (ps.frames, per, max(N // 2 - 1, 0))
+                # rows of N/4 - 1 LLRs; the first half's stage n - 1 and the first
+                # quarter's stage n - 2 a block per frame each, apart from the rows and the
+                # channel
+                assert ps.bank._llr_buf.shape == (ps.frames, per, max(N // 4 - 1, 0))
                 assert ps.bank._first.size == ps.frames * (N // 2)
+                assert ps.bank._quarter.size == ps.frames * (N // 4)
                 for rows in (ps.bank._llr_buf, ps.bank._beta_buf, ps.bank.channel):
                     assert not np.shares_memory(ps.bank._first, rows)
+                    assert not np.shares_memory(ps.bank._quarter, rows)
 
             batch = decode(x, code, cfg, step_hook=hook)
             assert banks
@@ -973,7 +997,57 @@ class TestStageNMinusOne:
         bank = ScBank(llrs if frames > 1 else llrs[0], combining, capacity=4 * frames)
         h = N // 2
         f = f_minsum if combining == "min-sum" else f_exact
-        assert bank._llr_buf.shape == (frames, 4, max(h - 1, 0))
+        assert bank._llr_buf.shape == (frames, 4, max(N // 4 - 1, 0))
         assert np.array_equal(bank._first.reshape(frames, h), f(llrs[:, :h], llrs[:, h:2 * h]))
         assert not np.shares_memory(bank._first, bank._llr_buf)
         assert not np.shares_memory(bank._first, bank._beta_buf)
+
+    @pytest.mark.parametrize("frames", [1, 3])
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 1024])
+    @pytest.mark.parametrize("combining", ["min-sum", "exact"])
+    def test_first_quarter_block_is_one_per_frame(self, N, frames, combining, rng):
+        # f of the first-half block's halves, one per frame, in no row and not the channel;
+        # a node of N/4 bits at bit 0 reads it for every path of its frame
+        llrs = rng.normal(0, 2, (frames, N))
+        bank = ScBank(llrs if frames > 1 else llrs[0], combining, capacity=4 * frames)
+        h, q = N // 2, N // 4
+        f = f_minsum if combining == "min-sum" else f_exact
+        first = f(llrs[:, :h], llrs[:, h:2 * h])
+        assert np.array_equal(bank._quarter.reshape(frames, q), f(first[:, :q], first[:, q:2 * q]))
+        for rows in (bank._llr_buf, bank._beta_buf, bank.channel, bank._first):
+            assert not np.shares_memory(bank._quarter, rows)
+        if N >= 4:
+            bank.take(np.repeat(np.arange(frames), 4))
+            expect = np.repeat(f(first[:, :q], first[:, q:2 * q]), 4, axis=0)
+            block = bank.update_llrs(bank.n - 2)
+            assert np.array_equal(block if q > 1 else block[:, None], expect)
+
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 64, 1024])
+    def test_sums_read_back_unpacked(self, N, rng):
+        # stages 3 and up keep their sums as bits, but beta and paths() give every stage's
+        # pending block in the per-stage layout, (rows, N - 1): after the last node, each
+        # path's row folds with its last bit to polar(u) of the bits it committed
+        frames, cap = 3, 4
+        bank = ScBank(rng.normal(0, 2, (frames, N)), capacity=frames * cap)
+        us = [np.zeros(0, dtype=np.int8)] * frames
+        t = 0
+        while t < N:  # aligned nodes of random widths, the last one a bit
+            s = int(rng.integers(0, (t & -t).bit_length() if t else N.bit_length()))
+            while s and t + (1 << s) == N:
+                s -= 1
+            t += 1 << s
+            bank.update_llrs(s)
+            per = bank.n_paths // frames
+            keep = rng.integers(0, per, (frames, int(rng.integers(1, cap + 1))))
+            rows = (keep + np.arange(frames)[:, None] * per).ravel()
+            bank.take(rows)
+            u = rng.integers(0, 2, (rows.size, 1 << s), dtype=np.int8)
+            bank.update_partial_sums(polar_transform(u) if s else u[:, 0])
+            us = [np.concatenate((us[r], u[i])) for i, r in enumerate(rows)]
+        llr, beta = bank.paths()
+        per = bank.n_paths // frames
+        assert beta.shape == (bank.n_paths, N - 1) and bank.beta.shape == (frames, per, N - 1)
+        for f in range(frames):  # the live rows hold the frame's paths, in some order
+            assert sorted(map(bytes, bank.beta[f])) == sorted(map(bytes, beta[f * per : (f + 1) * per]))
+        for row, u in zip(beta, us):
+            assert np.array_equal(stage_n_sums(row, u[-1]), polar_transform(u))

@@ -139,6 +139,13 @@ class TestScratchSmall:
         with pytest.raises(ValueError, match="finite"):
             ScBank([1.0, 2 * bound, -2.0, 0.5, 1.0, 1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("capacity", [True, False])
+    def test_rejects_a_bool_capacity(self, capacity):
+        # bool is an int, so True would pass as a reserve of 1 path
+        with pytest.raises(ValueError, match="capacity"):
+            ScBank(np.ones(4), capacity=capacity)
+        assert ScBank(np.ones(4), capacity=np.int64(2)).update_llrs().shape == (1,)
+
     @pytest.mark.parametrize("capacity", [0, -1])
     def test_rejects_an_empty_reserve(self, capacity):
         # a bank with no row for its one starting path would return no decision LLR
@@ -247,10 +254,17 @@ class TestNodeUpdates:
                 lam = bits.update_llrs()
                 if s:
                     expect = llrs if w == N else bits.llr[0, w - 1 : 2 * w - 1]
-                    if 2 * w == N:  # stage n - 1, in no row: f or g of the channel halves
-                        f = f_minsum if combining == "min-sum" else f_exact
-                        lo, hi = llrs[:w], llrs[w:]
-                        expect = hi + (1 - 2 * polar_transform(u[:w])) * lo if t else f(lo, hi)
+                    # stages n - 1 and n - 2, in no row: f or g of the channel halves, then
+                    # f or g of stage n - 1's halves
+                    f = f_minsum if combining == "min-sum" else f_exact
+                    h = N // 2
+                    lo, hi = llrs[:h], llrs[h:]
+                    upper = hi + (1 - 2 * polar_transform(u[:h])) * lo if t >= h else f(lo, hi)
+                    if 2 * w == N:
+                        expect = upper
+                    elif 4 * w == N:
+                        lo, hi = upper[:w], upper[w:]
+                        expect = hi + (1 - 2 * polar_transform(u[t - w : t])) * lo if t % h else f(lo, hi)
                     assert alpha.shape == (1, w) and np.array_equal(alpha[0], expect)
                 else:
                     assert np.array_equal(alpha, lam)
@@ -387,10 +401,10 @@ class TestBankBatching:
             with pytest.raises(IndexError):
                 bank.take(np.array(rows))
         bank.take([1, 2])
-        assert bank.llr.shape == (2, 1, 3)
+        assert bank.llr.shape == (2, 1, 1)
 
     def test_channel_stage_is_shared(self, rng):
-        # rows hold only the N/2 - 1 intermediate slots; the channel LLRs are one read-only vector
+        # rows hold only the N/4 - 1 intermediate slots; the channel LLRs are one read-only vector
         llrs = rng.normal(0, 1, 16)
         bank = ScBank(llrs, capacity=4)
         assert not np.shares_memory(bank.channel, llrs)
@@ -398,7 +412,7 @@ class TestBankBatching:
             bank.update_llrs()
             bank.take(np.array(rows))
             bank.update_partial_sums(rng.integers(0, 2, len(rows)).astype(np.int8))
-            assert bank.llr.shape == (len(rows), 7)
+            assert bank.llr.shape == (len(rows), 3)
         assert np.array_equal(bank.channel, llrs)
         assert bank.channel.shape == (16,) and not bank.channel.flags.writeable
         assert not np.shares_memory(bank.channel, bank._llr_buf)

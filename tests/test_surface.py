@@ -73,8 +73,8 @@ def test_bank_copy_count_reads_a_real_bank():
     bank.take([0, 0, 0])
     counts = defaultdict(int)
     load_tracing()._bank_after(None, (bank,), counts)
-    # three rows of 3 LLRs (8 bytes each) and 7 partial sums (1 byte each)
-    assert counts["sc_engine.bytes_copied"] == 3 * (3 * 8 + 7)
+    # three rows of 1 LLR (8 bytes) and 7 partial sums (1 byte each, none packed at N = 8)
+    assert counts["sc_engine.bytes_copied"] == 3 * (1 * 8 + 7)
 
 
 @pytest.mark.parametrize("frames", [1, 3])
