@@ -217,7 +217,10 @@ class PathSet:
     among its frame's children, in the first ``decided`` rows of a (K,
     rows) table; ``traceback`` reads messages back from it.
     ``steps`` is the plan that ``decode`` walks for this code and config
-    (``step_plan``), one frame's, which every frame follows.
+    (``step_plan``), one frame's, which every frame follows.  ``states`` is
+    read-only, and the plan owns the register states wherever it knows
+    them: at every step under local sorting, and under global sorting up
+    to the first cut, where the path set makes its own from the plan's.
     """
 
     def __init__(self, channel_llrs, code: PacCode, config: DecoderConfig):
@@ -238,8 +241,8 @@ class PathSet:
         self._tables = node_tables(code.g, code.n)
         self._phi = _PHI[config.metric_mode]
         self._high = (1 << code.m) >> 1  # register bit that v = 1 sets (0 when m = 0)
-        # the register states: the plan's, one frame's for all (_planned), until metrics
-        # decide them or a caller reads them; then the path set's own (_states)
+        # the register states: the plan's, one frame's for all (_planned), until a global
+        # cut lets metrics decide them; from there the path set's own (_states)
         self._planned, self._states = self.steps[0].states, None
 
     @property
@@ -249,19 +252,15 @@ class PathSet:
 
     @property
     def states(self) -> np.ndarray:
-        """Each path's register state, in path order.
+        """Each path's register state, in path order (read-only).
 
-        While the plan holds them, the first read makes them from its one
-        frame; from then on the path set keeps them itself.
+        While the plan holds them, a fresh array made from its one frame,
+        so that reading them changes nothing; after a global cut, the path
+        set's own.
         """
-        if self._states is None:
-            self._states = np.concatenate((self._planned,) * self.frames, dtype=np.int64)
-            self._planned = None
-        return self._states
-
-    @states.setter
-    def states(self, states) -> None:
-        self._states, self._planned = states, None
+        if self._planned is None:
+            return self._states
+        return np.concatenate((self._planned,) * self.frames, dtype=np.int64)
 
     def traceback(self, rows) -> np.ndarray:
         """The information bits decided so far along the paths that end in ``rows``.
@@ -289,27 +288,26 @@ class PathSet:
 
 
 def _charge(paths: PathSet, step: Step, alpha, blocks: int) -> tuple:
-    """z = (2X - 1) alpha; return (z, each path's X, whether they are the plan's).
+    """z = (2X - 1) alpha; return (z, X).
 
     alpha is the LLR block of the step's node, (paths, 2^stage), or one
     value per path for a bit.  z has ``blocks`` blocks of alpha's shape, made
     after the lookups (a split's children take two), and the product is the
-    first; the penalties phi(0, z) then overwrite z.  While the path set's
-    states are still the plan's, the signs and X are its arrays, one
-    frame's, which every frame shares, and X is returned so; otherwise both
-    are looked up by each path's state (``table_rows``).  Either way the
-    signs cover the whole node.
+    first; the penalties phi(0, z) then overwrite z.  A step whose states
+    the plan holds (``step.signs`` set) owns them: the signs and X are its
+    arrays, one frame's, which every frame shares, and X is returned so.
+    After a global cut both are looked up by the path set's own states
+    (``table_rows``).  Either way the signs cover the whole node.
     """
-    if step.signs is not None and paths._planned is step.states:
-        signs, xs, planned = step.signs, step.xs, True
+    if step.signs is not None:
+        signs, xs = step.signs, step.xs
         if paths.frames > 1:  # made whole, so that the product runs over contiguous blocks
             signs = np.concatenate((signs,) * paths.frames, dtype=float)
     else:
-        signs, xs = table_rows(paths._tables, step.stage, paths.states)
-        planned = False
+        signs, xs = table_rows(paths._tables, step.stage, paths._states)
     z = np.empty((blocks, *alpha.shape))
     np.multiply(signs, alpha, out=z[0])
-    return z, xs, planned
+    return z, xs
 
 
 def _node_sum(penalties, stage: int):
@@ -339,13 +337,14 @@ def extend_frozen(paths: PathSet, step: Step) -> PathSet:
     Charges each path its node sum, shifts its register state by the node
     width and commits the node's partial sums.
     """
-    z, xs, planned = _charge(paths, step, paths.bank.update_llrs(step.stage), 1)
+    z, xs = _charge(paths, step, paths.bank.update_llrs(step.stage), 1)
     paths.metrics += _node_sum(paths._phi(0.0, z[0], out=z[0]), step.stage)
-    if planned:
+    if step.signs is not None:
         paths._planned = step.after
+        xs = _every_frame(xs, paths.frames)
     else:
-        paths.states >>= paths._tables[step.stage][2]
-    paths.bank.update_partial_sums(_every_frame(xs, paths.frames) if planned else xs)
+        paths._states >>= paths._tables[step.stage][2]
+    paths.bank.update_partial_sums(xs)
     return paths
 
 
@@ -370,10 +369,10 @@ def extend_info(paths: PathSet, step: Step, observer=None) -> PathSet:
     does the bank take the survivors from their parents.  Then it commits
     their partial sums.
     """
-    frames, stage = paths.frames, step.stage
+    frames, stage, planned = paths.frames, step.stage, step.signs is not None
     per = paths.size // frames  # parents per frame
     # the v = 0 children's z, then the v = 1 children's
-    z, xs, planned = _charge(paths, step, paths.bank.update_llrs(stage), 2)
+    z, xs = _charge(paths, step, paths.bank.update_llrs(stage), 2)
     np.negative(z[0], out=z[1])
     sums = _node_sum(paths._phi(0.0, z, out=z), stage)
     del z  # not held through the cut and the bank's take
@@ -385,8 +384,8 @@ def extend_info(paths: PathSet, step: Step, observer=None) -> PathSet:
     if planned:
         paths._planned = step.children
     else:
-        shifted = paths.states >> paths._tables[stage][2]
-        paths.states = _children(shifted, shifted | paths._high, frames)
+        shifted = paths._states >> paths._tables[stage][2]
+        paths._states = _children(shifted, shifted | paths._high, frames)
     j = paths.decided
     paths.decided = j + 1
     if step.cut is None:  # a growth
@@ -433,10 +432,10 @@ def prune(paths: PathSet, step: Step, observer=None) -> np.ndarray:
     keep.sort()
     if observer is not None:
         observer(paths.states, paths.metrics, keep)
-    if paths._planned is not None and step.after is not None:
+    if step.after is not None:
         paths._planned = step.after
-    else:
-        paths.states = paths.states.take(keep)
+    else:  # a global cut: from the plan's children at the first, then the path set's own
+        paths._states, paths._planned = paths.states.take(keep), None
     paths.metrics = paths.metrics.take(keep)
     return keep
 

@@ -8,10 +8,11 @@ rebuild them from a path's sums.  Only one block per other stage is ever live,
 so those LLRs are stored compactly: stage s < n-2 occupies slots
 [2^s - 1, 2^{s+1} - 1) of an (N/4 - 1)-slot row.  Partial sums use the same
 layout over N - 1 sums (Tal and Vardy's per-stage arrays), packed 8 to a byte
-from stage 3: stage s holds only its pending left block, the one the next
-g-update at that stage reads.  Committing bit t folds the new sums up through
-the stages of the set low bits of t and parks the result at the first stage
-whose bit is clear.  No later bit reads the sums of bit N-1.
+from stage 3 (``np.packbits`` order), N/8 + 6 bytes a row; ``ScBank.beta`` is
+those stored bytes.  Stage s holds only its pending left block, the one the
+next g-update at that stage reads.  Committing bit t folds the new sums up
+through the stages of the set low bits of t and parks the result at the first
+stage whose bit is clear.  No later bit reads the sums of bit N-1.
 
 The unit of both updates is a node: an aligned block of 2^s bits, decided in
 one step at stage s (a bit is the node at stage 0).  Nodes come in bit order, so
@@ -116,9 +117,9 @@ class ScBank:
     stage n-1 or n-2, the combining rule's, a growth's copy, a gather's) in
     runs of whole frames of at most 2^14 elements each (one frame where a
     frame holds more), so that its heap grows with its rows and no more.
-    ``llr`` and ``beta`` are the live rows, (rows, N/4 - 1) and (rows, N -
-    1), with a frame axis when ``channel`` has one; ``paths`` returns them
-    in path order, sums unpacked (``beta`` is a view only up to N = 8).
+    ``llr`` and ``beta`` are views of the live rows as stored, (rows, N/4 -
+    1) and (rows, N/8 + 6) (N - 1 up to N = 8, where nothing is packed),
+    with a frame axis when ``channel`` has one.
     ``capacity`` is the most paths the bank holds, over all frames (rounded
     up to a whole number per frame), at least 1.  Both buffers are
     allocated for it here and never again (fresh arrays at every information
@@ -206,25 +207,13 @@ class ScBank:
 
     @property
     def beta(self) -> np.ndarray:
-        """The live rows' partial sums, in row order, unpacked (a view up to N = 8)."""
-        return self._unpacked(self._beta_buf[:, : self._rows] if self.channel.ndim == 2
-                              else self._beta)
+        """The live rows' partial sums as stored, in row order (a view)."""
+        return self._beta_buf[:, : self._rows] if self.channel.ndim == 2 else self._beta
 
     @staticmethod
     def frame_bytes(N: int, rows: int) -> int:
         """The bytes a bank of code length N holds per frame of ``rows`` rows, blocks included."""
         return rows * (8 * _slots(N)[0] + _slots(N)[1]) + 8 * (N + (N >> 1) + (N >> 2))
-
-    def paths(self):
-        """Each path's LLRs and partial sums, in path order: (paths, N/4 - 1), (paths, N - 1)."""
-        paths = self._paths
-        return self._llr_rows[paths].copy(), self._unpacked(self._beta_rows[paths].copy())
-
-    def _unpacked(self, sums) -> np.ndarray:
-        """``sums`` with stages 3 and up unpacked, (..., N - 1): themselves up to N = 8."""
-        if self.N > 1 << _PACKED:
-            sums = np.concatenate((sums[..., :7], np.unpackbits(sums[..., 7:], axis=-1)), axis=-1)
-        return sums
 
     def update_llrs(self, stage: int = 0) -> np.ndarray:
         """Recompute the factor-graph nodes down to the 2^stage-bit node at ``t``; return its LLRs.

@@ -39,6 +39,24 @@ def stage_n_sums(beta_row, u_last):
     return x
 
 
+def unpacked(sums):
+    """Stored partial sums (``ScBank.beta``) in the per-stage layout, (..., N - 1).
+
+    A bank stores the sums of stages 3 and up 8 to a byte, N/8 + 6 bytes a
+    row from N = 16; up to N = 8 a row holds N - 1 <= 7 sums, one a byte,
+    and is returned as it is.
+    """
+    if sums.shape[-1] <= 7:
+        return sums
+    return np.concatenate((sums[..., :7], np.unpackbits(sums[..., 7:], axis=-1)), axis=-1)
+
+
+def bank_paths(bank):
+    """Each path's LLRs and partial sums, copied in path order: (paths, N/4 - 1), (paths, N - 1)."""
+    paths = bank._paths
+    return bank._llr_rows[paths].copy(), unpacked(bank._beta_rows[paths].copy())
+
+
 def exact_combine_reference(a: float, b: float) -> float:
     """2 atanh(tanh(a/2) tanh(b/2)) = ln((1 + e^(a+b)) / (e^a + e^b)) in 80-digit decimals.
 

@@ -5,9 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import make_trial, stage_n_sums
+from conftest import bank_paths, make_trial, stage_n_sums, unpacked
 from reference_oracle import codebook_metrics, forced_path_metrics, naive_scl_reference
 
+from pactrellis import decoder
 from pactrellis.decoder import (
     DecoderConfig,
     DecodeResult,
@@ -28,7 +29,7 @@ from pactrellis.pac_core import (
     rate_profile_insert,
 )
 from pactrellis.sc_engine import ScBank, f_exact, f_minsum
-from pactrellis.schedule import node_schedule, node_tables
+from pactrellis.schedule import node_schedule, node_tables, table_rows
 from pactrellis.sim import SimPlan, batch_size
 
 
@@ -43,7 +44,7 @@ def build_pathset(code, metrics, states, config=DecoderConfig()):
     ps.bank = ScBank(np.ones(code.N), capacity=P)  # a bank reserves its rows when it is made
     ps.bank.take(np.zeros(P, dtype=np.intp))
     ps.metrics = np.asarray(metrics, dtype=float)
-    ps.states = np.asarray(states, dtype=np.int64)
+    ps._states, ps._planned = np.asarray(states, dtype=np.int64), None  # the states its own
     return ps
 
 
@@ -177,12 +178,16 @@ class TestExtendFrozen:
         assert ps.bank.beta[0, 0] == 0 and ps.decided == 0
 
     def test_disagreeing_llr_charges_magnitude(self):
-        code = PacCode(n=1, K=1, A=(1,), g=(1, 1))
-        ps = PathSet(np.array([3.0, 5.0]), code, DecoderConfig())
-        ps.states[0] = 1  # feedback tap forces u = 1 against lambda = +3
-        extend_frozen(ps, step_plan(code, DecoderConfig())[0])
-        assert ps.metrics[0] == 3.0
+        # SC's cut at bit 0 keeps v = 1 (lambda = f(-3, 5) = -3), and from there the path's
+        # own state feeds u = 1 back into the frozen bit 1, against lambda = 5 + 3 = +8
+        code, cfg = PacCode(n=1, K=1, A=(0,), g=(1, 1)), DecoderConfig()
+        ps = PathSet(np.array([-3.0, 5.0]), code, cfg)
+        split, frozen = step_plan(code, cfg)
+        extend_info(ps, split)
+        assert ps.metrics[0] == 0.0 and list(ps.states) == [1] and frozen.signs is None
         assert ps.bank.beta[0, 0] == 1
+        extend_frozen(ps, frozen)
+        assert ps.metrics[0] == 8.0
 
     def test_path_count_unchanged(self, rng):
         code, cfg = PacCode.rm(3, 4, 0o3), DecoderConfig("global", 8)
@@ -467,7 +472,8 @@ class TestDecode:
             for bit in v:
                 state = (state >> 1) | (int(bit) << (m - 1))
             assert ps.states[i] == state
-            assert np.array_equal(stage_n_sums(ps.bank.paths()[1][i], u[-1]), polar_transform(u))
+            beta = bank_paths(ps.bank)[1][i]
+            assert np.array_equal(stage_n_sums(beta, u[-1]), polar_transform(u))
 
     @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"{c.sorting}-L{c.list_size}")
     def test_bank_never_exceeds_budget(self, cfg, rng):
@@ -480,7 +486,7 @@ class TestDecode:
         def hook(t, ps):
             live[:] = [ps]
             assert ps.bank.llr.shape == (ps.size, code.N // 4 - 1)
-            assert ps.bank.beta.shape == (ps.size, code.N - 1)
+            assert unpacked(ps.bank.beta).shape == (ps.size, code.N - 1)
             rows.append(ps.bank.llr.shape[0])
 
         def observer(t, states, metrics, keep):
@@ -711,7 +717,7 @@ class TestStepPlan:
         def observer(t, states, metrics, keep):
             cuts.append((states.copy(), metrics.size, keep.size))
 
-        decode(x, code, cfg, step_hook=hook)  # reads no state: the decode stays on its plan
+        decode(x, code, cfg, step_hook=hook)
         assert seen == [step.paths * frames for step in plan]
         decode(x, code, cfg, prune_observer=observer)
         planned = [step for step in plan if step.cut is not None]
@@ -746,7 +752,7 @@ class TestStepPlan:
         assert len(expect) == count and cuts == expect
 
     def test_local_states_follow_the_plan(self, rng):
-        # a hook that reads the states takes them off the plan; they stay what it said
+        # a hook that reads the states sees the plan's
         code, cfg = PacCode.rm(7, 64, 0o133), DecoderConfig("local", 2)
         plan = step_plan(code, cfg)
         seen = []
@@ -754,6 +760,51 @@ class TestStepPlan:
                step_hook=lambda t, ps: seen.append(ps.states.copy()))
         for step, states in zip(plan, seen):
             assert np.array_equal(states, np.tile(step.after, 2))
+
+    @staticmethod
+    def count_lookups(monkeypatch, cuts):
+        """A list that each ``table_rows`` call of a decode's steps adds ``len(cuts)`` to."""
+        calls = []
+        monkeypatch.setattr(decoder, "table_rows",
+                            lambda *args: calls.append(len(cuts)) or table_rows(*args))
+        return calls
+
+    @pytest.mark.parametrize("frames", [1, 3])
+    def test_observers_keep_local_states_on_the_plan(self, frames, rng, monkeypatch):
+        # hooks and observers that read the states see the plan's and change nothing: LVA-2
+        # looks no state up, and decodes what an unobserved decode does
+        code, cfg = PacCode.rm(7, 64, 0o133), DecoderConfig("local", 2)
+        plan = step_plan(code, cfg)
+        x = np.stack([make_trial(code, 1.5, rng)[1] for _ in range(frames)])
+        alone = decode(x, code, cfg)
+        after, children = [], []
+        calls = self.count_lookups(monkeypatch, children)
+        got = decode(x, code, cfg, step_hook=lambda t, ps: after.append(ps.states),
+                     prune_observer=lambda t, states, metrics, keep: children.append(states))
+        assert calls == []
+        assert len(after) == len(plan) and len(children) == sum(s.cut is not None for s in plan)
+        for step, states in zip(plan, after):
+            assert np.array_equal(states, np.tile(step.after, frames))
+        for step, states in zip([s for s in plan if s.cut is not None], children):
+            assert np.array_equal(states, np.tile(step.children, frames))
+        for name in ("d_hat", "survivor_metrics"):
+            assert getattr(got, name).tobytes() == getattr(alone, name).tobytes()
+
+    def test_global_states_are_looked_up_only_after_the_first_cut(self, rng, monkeypatch):
+        # observed, SCL-8 keeps the plan's states up to its first cut and its own after it
+        code, cfg = PacCode.rm(7, 64, 0o133), DecoderConfig("global", 8)
+        plan = step_plan(code, cfg)
+        first = next(i for i, step in enumerate(plan) if step.cut is not None)
+        after, cuts = [], []
+        calls = self.count_lookups(monkeypatch, cuts)
+        decode(make_trial(code, 1.5, rng)[1], code, cfg,
+               step_hook=lambda t, ps: after.append(ps.states.copy()),
+               prune_observer=lambda t, states, metrics, keep: cuts.append(states))
+        # one lookup at every step after the first cut, and none before it
+        assert 0 not in calls and len(calls) == len(plan) - first - 1
+        for step, states in zip(plan[:first], after):
+            assert np.array_equal(states, step.after)
+        assert np.array_equal(cuts[0], plan[first].children)
 
     def test_plan_is_built_once_and_read_only(self, rng):
         code, cfg = PacCode.rm(6, 32, 0o133), DecoderConfig("local", 2)
@@ -1024,9 +1075,9 @@ class TestStageNMinusOne:
 
     @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 64, 1024])
     def test_sums_read_back_unpacked(self, N, rng):
-        # stages 3 and up keep their sums as bits, but beta and paths() give every stage's
-        # pending block in the per-stage layout, (rows, N - 1): after the last node, each
-        # path's row folds with its last bit to polar(u) of the bits it committed
+        # stages 3 and up keep their sums as bits, and unpacked the stored sums give every
+        # stage's pending block in the per-stage layout, (rows, N - 1): after the last node,
+        # each path's row folds with its last bit to polar(u) of the bits it committed
         frames, cap = 3, 4
         bank = ScBank(rng.normal(0, 2, (frames, N)), capacity=frames * cap)
         us = [np.zeros(0, dtype=np.int8)] * frames
@@ -1044,10 +1095,10 @@ class TestStageNMinusOne:
             u = rng.integers(0, 2, (rows.size, 1 << s), dtype=np.int8)
             bank.update_partial_sums(polar_transform(u) if s else u[:, 0])
             us = [np.concatenate((us[r], u[i])) for i, r in enumerate(rows)]
-        llr, beta = bank.paths()
-        per = bank.n_paths // frames
-        assert beta.shape == (bank.n_paths, N - 1) and bank.beta.shape == (frames, per, N - 1)
+        llr, beta = bank_paths(bank)
+        per, stored = bank.n_paths // frames, unpacked(bank.beta)
+        assert beta.shape == (bank.n_paths, N - 1) and stored.shape == (frames, per, N - 1)
         for f in range(frames):  # the live rows hold the frame's paths, in some order
-            assert sorted(map(bytes, bank.beta[f])) == sorted(map(bytes, beta[f * per : (f + 1) * per]))
+            assert sorted(map(bytes, stored[f])) == sorted(map(bytes, beta[f * per : (f + 1) * per]))
         for row, u in zip(beta, us):
             assert np.array_equal(stage_n_sums(row, u[-1]), polar_transform(u))

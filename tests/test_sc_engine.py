@@ -2,7 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import exact_combine_reference, log_uniform_pairs, stage_n_sums
+from conftest import (
+    bank_paths,
+    exact_combine_reference,
+    log_uniform_pairs,
+    stage_n_sums,
+    unpacked,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -163,10 +169,11 @@ class TestPartialSumDuality:
         for t in range(N):
             sc.update_llrs()
             sc.update_partial_sums(int(u[t]))
+        beta = unpacked(sc.beta)[0]
         for s in range(sc.n):
             w = 1 << s
-            assert np.array_equal(sc.beta[0, w - 1 : 2 * w - 1], polar_transform(u[N - 2 * w : N - w]))
-        assert np.array_equal(stage_n_sums(sc.beta[0], u[-1]), polar_transform(u))
+            assert np.array_equal(beta[w - 1 : 2 * w - 1], polar_transform(u[N - 2 * w : N - w]))
+        assert np.array_equal(stage_n_sums(beta, u[-1]), polar_transform(u))
 
     @pytest.mark.parametrize("N", [2, 8, 64])
     def test_g_update_reads_left_block_sums(self, N, rng):
@@ -174,11 +181,12 @@ class TestPartialSumDuality:
         # the partial sums of the left block u[t - 2^top : t] at that stage
         u = rng.integers(0, 2, N, dtype=np.int8)
         sc = ScBank(rng.normal(0, 1, N))
-        assert sc.beta.shape == (1, N - 1)
+        assert unpacked(sc.beta).shape == (1, N - 1)
         for t in range(N):
             if t:
                 w = t & -t
-                assert np.array_equal(sc.beta[0, w - 1 : 2 * w - 1], polar_transform(u[t - w : t]))
+                beta = unpacked(sc.beta)[0]
+                assert np.array_equal(beta[w - 1 : 2 * w - 1], polar_transform(u[t - w : t]))
             sc.update_llrs()
             sc.update_partial_sums(int(u[t]))
 
@@ -326,9 +334,9 @@ class TestBankBatching:
         bank.update_llrs()
         bank.take(np.array([0, 0]))
         bank.update_partial_sums(np.array([0, 1], dtype=np.int8))
-        before = bank.paths()[1]
+        before = bank_paths(bank)[1]
         bank.take(np.array([1, 0]))
-        assert np.array_equal(bank.paths()[1], before[[1, 0]])
+        assert np.array_equal(bank_paths(bank)[1], before[[1, 0]])
 
     def test_take_within_capacity(self, rng):
         # growths, gathers and cuts that keep the count, up to the reserved rows, keep the
@@ -340,10 +348,10 @@ class TestBankBatching:
             # tag each row so that the gathered order shows
             bank.llr[:, 0] = np.arange(bank.n_paths)
             bank.beta[:, 0] = np.arange(bank.n_paths) % 2
-            llr, beta = bank.paths()
+            llr, beta = bank_paths(bank)
             bank.take(np.array(rows))
-            assert np.array_equal(bank.paths()[0], llr[rows])
-            assert np.array_equal(bank.paths()[1], beta[rows])
+            assert np.array_equal(bank_paths(bank)[0], llr[rows])
+            assert np.array_equal(bank_paths(bank)[1], beta[rows])
 
     @pytest.mark.parametrize("frames", [1, 3])
     def test_grow_takes_every_path_twice(self, frames, rng):
@@ -356,12 +364,12 @@ class TestBankBatching:
         bank.update_partial_sums(rng.integers(0, 2, 2 * frames, dtype=np.int8))
         bank.update_llrs()
         bank.take((first + [1, 0]).ravel())  # a slot map that swaps each frame's two rows
-        llr, beta = bank.paths()
+        llr, beta = bank_paths(bank)
         bank.grow()
         assert bank.n_paths == 4 * frames
         rows = (first + [0, 1, 0, 1]).ravel()
-        assert np.array_equal(bank.paths()[0], llr[rows])
-        assert np.array_equal(bank.paths()[1], beta[rows])
+        assert np.array_equal(bank_paths(bank)[0], llr[rows])
+        assert np.array_equal(bank_paths(bank)[1], beta[rows])
         with pytest.raises(IndexError):
             bank.grow()
 
@@ -372,18 +380,18 @@ class TestBankBatching:
         bank.update_llrs()
         bank.take([0, 0, 0, 0, 1, 1, 1, 1])
         bank.llr[..., 0] = np.arange(8).reshape(2, 4)
-        rows_before, paths_before = bank.llr.copy(), bank.paths()[0]
+        rows_before, paths_before = bank.llr.copy(), bank_paths(bank)[0]
         perm = np.array([2, 0, 3, 1, 7, 4, 5, 6])
         bank.take(perm)
         assert np.array_equal(bank.llr, rows_before)
-        assert np.array_equal(bank.paths()[0], paths_before[perm])
+        assert np.array_equal(bank_paths(bank)[0], paths_before[perm])
         # taking a path twice overwrites only the row of a path not taken
         twice = np.array([1, 1, 3, 2, 4, 5, 6, 7])
-        paths_before = bank.paths()[0]
+        paths_before = bank_paths(bank)[0]
         bank.take(twice)
         changed = (bank.llr != rows_before).any(axis=-1)
         assert changed.sum() == 1 and changed[0].sum() == 1
-        assert np.array_equal(bank.paths()[0], paths_before[twice])
+        assert np.array_equal(bank_paths(bank)[0], paths_before[twice])
 
     def test_take_rejects_out_of_range_rows(self, rng):
         # rows past the live paths, negative rows, and more paths than the bank reserves
@@ -453,13 +461,13 @@ class TestBankBatching:
                 x = rng.integers(0, 2, (batch.n_paths, w), dtype=np.int8)
                 batch.update_partial_sums(x if s else x[:, 0])
                 rows = len(keep[0])
-                llr, beta = batch.paths()
+                llr, beta = bank_paths(batch)
                 for f, (bank, k) in enumerate(zip(alone, keep)):
                     bank.take(k)
                     xf = x[f * rows : (f + 1) * rows]
                     bank.update_partial_sums(xf if s else xf[:, 0])
-                    assert np.array_equal(llr[f * rows : (f + 1) * rows], bank.paths()[0])
-                    assert np.array_equal(beta[f * rows : (f + 1) * rows], bank.paths()[1])
+                    assert np.array_equal(llr[f * rows : (f + 1) * rows], bank_paths(bank)[0])
+                    assert np.array_equal(beta[f * rows : (f + 1) * rows], bank_paths(bank)[1])
 
     @pytest.mark.parametrize("combining", ["min-sum", "exact"])
     def test_top_nodes_read_every_path_of_a_frame(self, combining, rng):
@@ -532,7 +540,8 @@ def _check_against_replays(data, frames, n, combining):
         bank.update_partial_sums(x if s else x[:, 0])
         model = [(model[r][0], model[r][1] + [(s, xi[None, :] if s else xi[0])])
                  for r, xi in zip(rows, x)]
-        llr, beta = bank.paths()
+        llr, beta = bank_paths(bank)
         for i, (f, history) in enumerate(model):
             alone = _replay(llrs[f], combining, history)[0]
-            assert np.array_equal(llr[i], alone.llr[0]) and np.array_equal(beta[i], alone.beta[0])
+            assert np.array_equal(llr[i], alone.llr[0])
+            assert np.array_equal(beta[i], unpacked(alone.beta)[0])

@@ -4,6 +4,7 @@ the names the benchmark's tracer wraps resolve."""
 import ast
 import importlib
 import importlib.util
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -75,6 +76,22 @@ def test_bank_copy_count_reads_a_real_bank():
     load_tracing()._bank_after(None, (bank,), counts)
     # three rows of 1 LLR (8 bytes) and 7 partial sums (1 byte each, none packed at N = 8)
     assert counts["sc_engine.bytes_copied"] == 3 * (1 * 8 + 7)
+    # at N = 1024 the sums of stages 3 and up are stored 8 to a byte: the hook counts the
+    # stored bytes, 255 LLRs and 7 + 127 sum bytes a row, and copies no row to count them
+    bank = ScBank(np.ones((3, 1024)), capacity=12)
+    bank.update_llrs()
+    bank.take(np.repeat(np.arange(3), 4))
+    counts = defaultdict(int)
+    hook = load_tracing()._bank_after
+    tracemalloc.start()
+    try:
+        hook(None, (bank,), counts)
+        allocated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts["sc_engine.bytes_copied"] == bank.llr.nbytes + 12 * (7 + 127)
+    assert bank.llr.nbytes == 12 * 255 * 8 and np.shares_memory(bank.beta, bank._beta_buf)
+    assert allocated < 1024, allocated  # two views; the unpacked sums alone are 12,276 bytes
 
 
 @pytest.mark.parametrize("frames", [1, 3])
