@@ -174,8 +174,9 @@ def _position_dtype(paths: int) -> np.dtype:
 
 
 def frame_bytes(code: PacCode, config: DecoderConfig) -> int:
-    """The bytes a frame holds in a decode: its bank rows and blocks, its paths' backpointer
-    columns, and 4 floats (node LLRs, signs, two z blocks) a parent and bit of the widest step."""
+    """The bytes a frame holds in a decode: its bank's (``ScBank.frame_bytes``), its paths'
+    backpointer columns, and 4 floats (node LLRs, signs, two z blocks) a parent and bit of the
+    widest step."""
     paths, steps = config.paths_per_frame(code), step_plan(code, config)
     widest = max(per << step.stage for per, step in zip((1, *(s.paths for s in steps)), steps))
     return (ScBank.frame_bytes(code.N, paths) + paths * code.K * _position_dtype(paths).itemsize
@@ -215,7 +216,7 @@ class PathSet:
     lockstep (see the module docstring); rows are grouped by frame.
     ``positions`` holds, per information bit, each survivor's position
     among its frame's children, in the first ``decided`` rows of a (K,
-    rows) table; ``traceback`` reads messages back from it.
+    rows) table, written at cuts; ``traceback`` reads messages back from it.
     ``steps`` is the plan that ``decode`` walks for this code and config
     (``step_plan``), one frame's, which every frame follows.  ``states`` is
     read-only, and the plan owns the register states wherever it knows
@@ -255,12 +256,13 @@ class PathSet:
         """Each path's register state, in path order (read-only).
 
         While the plan holds them, a fresh array made from its one frame,
-        so that reading them changes nothing; after a global cut, the path
-        set's own.
+        so that reading them changes nothing; after a global cut, a view of
+        the path set's own, which later steps replace, never write.
         """
-        if self._planned is None:
-            return self._states
-        return np.concatenate((self._planned,) * self.frames, dtype=np.int64)
+        states = (self._states.view() if self._planned is None
+                  else np.concatenate((self._planned,) * self.frames, dtype=np.int64))
+        states.flags.writeable = False
+        return states
 
     def traceback(self, rows) -> np.ndarray:
         """The information bits decided so far along the paths that end in ``rows``.
@@ -271,16 +273,18 @@ class PathSet:
         per bit would cost several times more for the few frames of a batch.
         """
         rows = np.asarray(rows, dtype=np.intp)
-        # per frame at each information bit: its parents, and the children it keeps
+        # per frame at each information bit: its parents, and the children a cut keeps
         before = (1, *(step.paths for step in self.steps))
-        counts = [(per, step.paths) for per, step in zip(before, self.steps) if step.info]
+        counts = [(per, step.cut and step.paths) for per, step in zip(before, self.steps)
+                  if step.info]
         positions, paths = memoryview(self.positions), []
         for row in rows.ravel().tolist():
             frame, local = divmod(row, self.size // self.frames)
             path = [0] * self.decided
             for j in range(self.decided - 1, -1, -1):
                 per, kept = counts[j]
-                local = positions[j, frame * kept + local]
+                if kept:  # a growth keeps its children in place: a path's position is its own
+                    local = positions[j, frame * kept + local]
                 if local >= per:
                     path[j], local = 1, local - per
             paths.append(path)
@@ -342,8 +346,8 @@ def extend_frozen(paths: PathSet, step: Step) -> PathSet:
     if step.signs is not None:
         paths._planned = step.after
         xs = _every_frame(xs, paths.frames)
-    else:
-        paths._states >>= paths._tables[step.stage][2]
+    else:  # a new array: one a hook holds (``states``) keeps its step's states
+        paths._states = paths._states >> paths._tables[step.stage][2]
     paths.bank.update_partial_sums(xs)
     return paths
 
@@ -364,10 +368,9 @@ def extend_info(paths: PathSet, step: Step, observer=None) -> PathSet:
     v = 1 child's partial sums are the v = 0 child's, flipped.  The path
     arrays are replaced by the children's (per frame, v = 0 children first,
     v = 1 children after them, both in parent order).  A growth keeps them
-    all: each frame writes the plan's backpointers, and the bank grows.  A
-    cut has ``prune`` (given ``observer``) select among them, and only then
-    does the bank take the survivors from their parents.  Then it commits
-    their partial sums.
+    all, in place, and the bank grows.  A cut has ``prune`` (given
+    ``observer``) select among them, and only then does the bank take the
+    survivors from their parents.  Then it commits their partial sums.
     """
     frames, stage, planned = paths.frames, step.stage, step.signs is not None
     per = paths.size // frames  # parents per frame
@@ -388,8 +391,7 @@ def extend_info(paths: PathSet, step: Step, observer=None) -> PathSet:
         paths._states = _children(shifted, shifted | paths._high, frames)
     j = paths.decided
     paths.decided = j + 1
-    if step.cut is None:  # a growth
-        paths.positions[j, : paths.size].reshape(frames, -1)[:] = step.positions
+    if step.cut is None:  # a growth: every child keeps its position, so none is written
         paths.bank.grow()
         x = _every_frame(step.child_xs, frames) if planned else _children(xs, xs ^ 1, frames)
         paths.bank.update_partial_sums(x)

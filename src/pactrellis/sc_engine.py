@@ -2,9 +2,8 @@
 
 The factor graph has n+1 stages; stage n holds the N channel LLRs and stage 0
 produces the per-bit decision LLR.  The channel stage is the same for every
-path, so it is stored once, read by broadcast; so are stage n-1 over the first
-half and stage n-2 over the first quarter.  Elsewhere the updates that read them
-rebuild them from a path's sums.  Only one block per other stage is ever live,
+path, so it is stored once, read by broadcast; the updates that read stages
+n-1 and n-2 make them from it.  Only one block per other stage is ever live,
 so those LLRs are stored compactly: stage s < n-2 occupies slots
 [2^s - 1, 2^{s+1} - 1) of an (N/4 - 1)-slot row.  Partial sums use the same
 layout over N - 1 sums (Tal and Vardy's per-stage arrays), packed 8 to a byte
@@ -31,7 +30,7 @@ Parizi and Burg), allocated once for the most paths the bank will hold.  It
 starts with one path per frame.  Path splitting goes through ``grow``, which
 copies each frame's rows as one slice, and pruning through ``take``, which
 copies a row only for a path taken twice, and a frame's rows whole only where
-its path count changes.  Stages n-1 and n-2 are read against each frame's rows.
+its path count changes.  The channel is read against each frame's rows.
 """
 
 from __future__ import annotations
@@ -91,10 +90,10 @@ class ScBank:
     ``channel_llrs`` is one frame of N LLRs, or a (frames, N) array of
     several, decoded in lockstep, each finite and at most float max / N^2 in
     magnitude (path metrics reach N^2 times it).  They are kept once, in the
-    read-only array ``channel``, as given, and so are stage n-1 of the first
-    half and n-2 of the first quarter; a row holds N/4 - 1 LLRs (stages 0 ..
-    n-3) and N - 1 partial sums, both in the layout of the module docstring.  The bank starts
-    with one path per frame, and every frame holds the same number of them.
+    read-only array ``channel``, as given; a row holds N/4 - 1 LLRs (stages
+    0 .. n-3) and N - 1 partial sums, both in the layout of the module
+    docstring.  The bank starts with one path per frame, and every frame
+    holds the same number of them.
     Updates follow the standard in-order schedule: ``update_llrs(s)`` then
     ``update_partial_sums(x)`` for nodes that tile 0 .. N-1 in order (s = 0,
     the default, for a bit).  The bank owns the position: a node starts at
@@ -113,8 +112,8 @@ class ScBank:
     of its block, the live rows, and a slot map takes each path to its row.
     The updates run over the live rows in place, whatever their order, and
     ``take`` moves as few rows as it can (see there).  A bank of several
-    frames makes its large temporaries (a g-update's sign block, a rebuilt
-    stage n-1 or n-2, the combining rule's, a growth's copy, a gather's) in
+    frames makes its large temporaries (a g-update's sign block, stage n-1
+    or n-2, the combining rule's, a growth's copy, a gather's) in
     runs of whole frames of at most 2^14 elements each (one frame where a
     frame holds more), so that its heap grows with its rows and no more.
     ``llr`` and ``beta`` are views of the live rows as stored, (rows, N/4 -
@@ -160,9 +159,6 @@ class ScBank:
         self._llr_buf = np.empty((frames, self._cap, llr_slots))
         self._beta_rows = self._beta_buf.reshape(frames * self._cap, sum_slots)
         self._llr_rows = self._llr_buf.reshape(frames * self._cap, llr_slots)
-        h, q = N >> 1, N >> 2  # stage n - 1's and n - 2's first blocks, read as _channel is
-        self._first = self._f(self._channel[..., :h], self._channel[..., h : 2 * h])
-        self._quarter = self._f(self._first[..., :q], self._first[..., q : 2 * q])
         self._resize(1)
         self._llr[:] = 0.0
         self._beta[:] = 0
@@ -212,7 +208,8 @@ class ScBank:
 
     @staticmethod
     def frame_bytes(N: int, rows: int) -> int:
-        """The bytes a bank of code length N holds per frame of ``rows`` rows, blocks included."""
+        """The bytes a bank of code length N is charged per frame of ``rows`` rows: the rows, and
+        1.75 N floats for the channel and the stage n-1 and n-2 blocks made from it."""
         return rows * (8 * _slots(N)[0] + _slots(N)[1]) + 8 * (N + (N >> 1) + (N >> 2))
 
     def update_llrs(self, stage: int = 0) -> np.ndarray:
@@ -222,7 +219,7 @@ class ScBank:
         (stage 0) returns its decision LLRs, one per path, both in path
         order.  The node must start at a multiple of its width.  The result
         may be a view, valid until the next ``update_llrs`` or ``take``.
-        A node of N/2 or N/4 bits returns stage n-1 or n-2, shared or rebuilt.
+        A node of N/4 bits or more returns its stage as ``_upper`` makes it.
         """
         t, width = self._t, 1 << stage
         if self._pending:
@@ -237,44 +234,40 @@ class ScBank:
         top = (t & -t).bit_length() - 1 if t else n
         g, fs, block = _llr_updates(n, top, stage)
         self._pending, self._stage = True, stage
-        if block is None:  # stage n, n - 1 or n - 2: at bit 0 one block per frame
-            if t:  # rebuilt in path order
-                sums = self._beta_rows[self._paths].reshape(self._beta.shape)
-                llrs = self._rebuild(stage, t, sums, self._channel, self._first).reshape(-1, width)
-            else:
-                src = (self._channel, self._first, self._quarter)[n - stage].reshape(-1, 1, width)
-                llrs = np.broadcast_to(src, (self.frames, self._rows, width)).reshape(-1, width)
+        if block is None:  # stage n, n - 1 or n - 2, in path order
+            sums = self._beta_rows[self._paths].reshape(self._beta.shape)
+            llrs = np.broadcast_to(self._upper(stage, t, sums, self._channel),
+                                   (*sums.shape[:-1], width)).reshape(-1, width)
             return llrs if stage else llrs[:, 0]
-        # past bit N/4 the updates that read stage n - 2 rebuild it (from N values a row past N/2)
-        rebuild = t >= self.N >> 2 and top >= n - 3
-        parts = self._parts(self._rows << (n - (t < self.N >> 1) if rebuild else top))
+        # the updates that read stage n - 2 make it (past bit N/4 from N/2 values a row, N past N/2)
+        upper, h = top >= n - 3, self.N >> 1
+        parts = self._parts(self._rows << (n - (t < h) if upper and 2 * t >= h else top))
         if parts is _WHOLE:  # no views: one per step showed in traced page faults
-            parts = ((self._llr, self._beta, self._channel, self._first, self._quarter),)
+            parts = ((self._llr, self._beta, self._channel),)
         else:
-            parts = [(self._llr[f], self._beta[f], self._channel[f], self._first[f],
-                      self._quarter[f]) for f in parts]
-        for llr, beta, channel, first, quarter in parts:
-            upper = self._rebuild(n - 2, t, beta, channel, first) if rebuild else quarter
-            self._recurse(llr, beta, upper, g, fs)
+            parts = [(self._llr[f], self._beta[f], self._channel[f]) for f in parts]
+        for llr, beta, channel in parts:
+            self._recurse(llr, beta, self._upper(n - 2, t, beta, channel) if upper else None, g, fs)
         block = self._llr_rows[:, block]  # a bit's one slot gives one LLR per row
         return block[self._paths] if self._slots is None else block.take(self._slots, axis=0)
 
-    def _rebuild(self, stage: int, t: int, beta, channel, first) -> np.ndarray:
-        """Stage n - 1 (``first``, or channel_hi + (1 - 2 beta) channel_lo past bit N/2) or
-        n - 2 (f of its halves over the third quarter, else its g-update) at bit t > 0."""
-        n, h, q = self.n, self.N >> 1, self.N >> 2
-        above = _g(channel, _signs(beta, n - 1), h) if t >= h else first
-        if stage == n - 1:
-            return above
-        return (_g(above, _signs(beta, n - 2), q) if t & q
-                else self._f(above[..., :q], above[..., q:]))
+    def _upper(self, stage: int, t: int, beta, channel) -> np.ndarray:
+        """Stage ``stage`` >= n - 2 at bit t, from ``channel`` down (Arikan's recursion): stage s
+        is g of the stage above with the sums ``beta`` where t has bit 2^s, else f of its halves,
+        one block per frame, read against the rows by broadcast, until the first g."""
+        llrs = channel
+        for s in range(self.n - 1, stage - 1, -1):
+            w = 1 << s
+            llrs = (_g(llrs, _signs(beta, s), w) if t & w
+                    else self._f(llrs[..., :w], llrs[..., w : 2 * w]))
+        return llrs
 
     def _recurse(self, llr, beta, upper, g, fs) -> None:
         """The g-update ``g`` (None at stages n - 2 and up), then the f-updates ``fs``, of one node.
 
         ``llr`` and ``beta`` are live rows, (rows, ...) or (frames, rows,
-        ...), and ``upper``, stage n - 2, is read against them.  Each update
-        reads the two halves of the stage above, from ``upper`` or from
+        ...), and ``upper``, stage n - 2 or None, is read against them.  Each
+        update reads the two halves of the stage above, from ``upper`` or from
         ``llr``, and writes its own stage's block.
         """
         if g is not None:
@@ -475,7 +468,7 @@ def _llr_updates(n: int, top: int, stage: int) -> tuple:
     """(g, fs, block) of a node of 2^stage bits whose g-update is at stage ``top``.
 
     The g-update and the stage of the sums it reads (None at bit 0, where
-    ``top`` is n, and at stages n - 1 and n - 2, made apart), the f-updates
+    ``top`` is n, and at stages n - 1 and n - 2, made by ``_upper``), the f-updates
     from stage n - 3 or below down to the node's stage (``_update`` each),
     and the node's slots: slot 0 for a bit, None from stage n - 2.
     """

@@ -4,11 +4,10 @@ The node schedule splits a code into Rate-0 and REP nodes (``node_schedule``);
 the node tables give the partial sums of a v = 0 extension over a node, by
 register state (``node_tables``).  The step plan (``plan_steps``) walks the
 schedule for one decoder configuration: each step's path count per frame,
-whether it grows or cuts, a growth's backpointers, a cut's groups and, under
-per-state sorting, every register state and its table rows.  None of it
-depends on the channel LLRs or the frame count, so ``decoder.decode`` reads
-one plan for any batch and computes only metrics and the survivors they
-choose.
+whether it grows or cuts, a cut's groups and, under per-state sorting, every
+register state and its table rows.  None of it depends on the channel LLRs or
+the frame count, so ``decoder.decode`` reads one plan for any batch and
+computes only metrics and the survivors they choose.
 """
 
 from __future__ import annotations
@@ -116,9 +115,8 @@ class Step:
     (``table_rows``), both int8 and over the whole node, ``children`` an
     information step's children's states before any cut, ``after`` the
     states once the step is done and ``child_xs`` a growth's children's X.
-    An information step that keeps every child (a growth) holds the
-    backpointers it writes, ``positions``; one that cuts holds
-    ``cut``: its group count and the group width.  Everything is one
+    An information step that keeps every child is a growth; one that cuts
+    holds ``cut``: its group count and the group width.  Everything is one
     frame's, which every frame of a batch shares.  Every array is
     read-only, and steps of one kind share one record.
     """
@@ -132,7 +130,6 @@ class Step:
     children: np.ndarray | None = None
     after: np.ndarray | None = None
     child_xs: np.ndarray | None = None
-    positions: np.ndarray | None = None
     cut: tuple | None = None
 
 
@@ -171,7 +168,7 @@ def plan_steps(code: PacCode, nodes: bool, sorting: str, list_size: int, budget:
     for stage, info in node_schedule(code, nodes):
         key = (stage, info, per, id(states))  # interned: an array's id names its contents
         if key not in kinds:
-            signs = xs = children = after = child_xs = positions = cut = None
+            signs = xs = children = after = child_xs = cut = None
             paths = per
             if states is not None:
                 signs, xs = table_rows(tables, stage, states)
@@ -183,7 +180,6 @@ def plan_steps(code: PacCode, nodes: bool, sorting: str, list_size: int, budget:
                     after = intern(shifted)
             if info and 2 * per <= budget:  # a growth: each parent's v = 0 child, then v = 1
                 paths, after = 2 * per, children
-                positions = intern(np.arange(2 * per))
                 if xs is not None:
                     child_xs = intern(np.concatenate((xs, xs ^ 1)))
             elif info:
@@ -192,7 +188,7 @@ def plan_steps(code: PacCode, nodes: bool, sorting: str, list_size: int, budget:
                 if sorting == "local":  # each group is one state, kept list_size times
                     after = intern(children.reshape(groups, -1)[:, :list_size].ravel())
             kinds[key] = Step(stage, info, paths, states, signs, xs, children, after, child_xs,
-                              positions, cut)
+                              cut)
         steps.append(kinds[key])
         per, states = kinds[key].paths, kinds[key].after
     return tuple(steps)

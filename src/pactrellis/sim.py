@@ -17,8 +17,8 @@ count and results are byte-identical for any ``workers`` value.  A serial
 run decodes exactly that prefix.
 
 Inside a chunk, trials run in lockstep batches (``batch_size``): a batch
-holds at most ``BATCH_BYTES``, each frame its bank rows, backpointers, bank
-blocks and widest step (``decoder.frame_bytes``), and at most
+holds at most ``BATCH_BYTES``, each frame its bank rows, backpointers,
+channel and widest step (``decoder.frame_bytes``), and at most
 ``LOCKSTEP_FRAMES`` frames, never more than the errors still missing.
 SCL-32 on PAC(1024,512) runs 12 frames a batch and SCL-8 36; on PAC(128,64)
 LVA with 32 paths runs 64, LVA with 128 paths 20, VA 40 and SCL-8 64.  Each

@@ -231,11 +231,15 @@ class TestExtendInfo:
     def test_child_states_and_u(self):
         code, cfg = PacCode(n=1, K=2, A=(0, 1), g=(1, 1)), DecoderConfig("global", 4)
         ps = PathSet(np.array([1.0, 1.0]), code, cfg)
+        junk = np.iinfo(ps.positions.dtype).max
+        ps.positions[:] = junk
         extend_info(ps, step_plan(code, cfg)[0])
         assert list(ps.states) == [0, 1]
         assert list(ps.bank.beta[:, 0]) == [0, 1]  # committed u of bit 0, per row
+        # parent 0's v = 0 child, then its v = 1: a growth keeps its children in place and
+        # writes no backpointer, and traceback reads none
         assert [ps.traceback(i)[0] for i in range(ps.size)] == [0, 1]
-        assert list(ps.positions[0, :2]) == [0, 1]  # parent 0's v = 0 child, then its v = 1
+        assert (ps.positions == junk).all()
 
 
 class TestPrune:
@@ -815,9 +819,35 @@ class TestStepPlan:
         assert all(plan is plans[0] for plan in plans)  # the second decode built none
         assert plans[0] is step_plan(code, cfg)
         arrays = [value for step in plans[0] for value in
-                  (step.states, step.signs, step.xs, step.children, step.after, step.child_xs,
-                   step.positions) if value is not None]
+                  (step.states, step.signs, step.xs, step.children, step.after, step.child_xs)
+                  if value is not None]
         assert arrays and not any(a.flags.writeable for a in arrays)
+        # growths store no backpointers: every survivor's traceback, its growth bits read
+        # from its own position, is the message whose forced path has the survivor's metric
+        x = make_trial(code, 1.5, rng)[1]
+        ps = final_pathset(x, code, cfg)
+        assert any(step.info and step.cut is None for step in ps.steps)
+        u = conv_transform(rate_profile_insert(ps.traceback(np.arange(ps.size)), code.A, code.N),
+                           code.g)
+        assert np.allclose(ps.metrics, forced_path_metrics(x, u), rtol=1e-12, atol=1e-12)
+
+    def test_held_states_keep_their_step(self, rng):
+        # a hook that keeps ps.states without copying sees, at the end, each step's states
+        # as they were at that step, past SCL-8's first cut too, and cannot write into them
+        code = PacCode(7, 64, np.random.default_rng(3).choice(128, 64, replace=False), 0o133)
+        cfg = DecoderConfig("global", 8)
+        held = []
+
+        def hook(t, ps):
+            states = ps.states
+            held.append((states, states.copy()))
+
+        decode(make_trial(code, 1.5, rng)[1], code, cfg, step_hook=hook)
+        assert len(held) == len(step_plan(code, cfg))
+        assert [np.array_equal(states, copy) for states, copy in held] == [True] * len(held)
+        for states, _ in held:
+            with pytest.raises(ValueError):
+                states[...] = 0
 
     def test_threads_decode_as_one(self):
         # sim decodes on executor threads: threads that decode the same code and config at
@@ -919,10 +949,16 @@ class TestBatch:
         ps = final_pathset(x, code, DecoderConfig("global", 4))
         assert ps.decided == code.K
         assert ps.positions.shape == (code.K, 8) and ps.positions.dtype == np.uint8
-        # 2 x 4 children a frame, in the columns each information bit writes (the table is
-        # not cleared, so a growth's unwritten columns hold whatever the heap held)
-        kept = [step.paths * 2 for step in ps.steps if step.info]
-        assert all(ps.positions[j, :k].max() < 8 for j, k in enumerate(kept))
+        # 2 x 4 children a frame, in the columns each cut writes; a growth writes none (the
+        # table is not cleared, so its columns hold whatever the heap held)
+        info = [step for step in ps.steps if step.info]
+        cuts = [j for j, step in enumerate(info) if step.cut is not None]
+        assert cuts and len(cuts) < len(info)
+        assert all(ps.positions[j, : ps.size].max() < 8 for j in cuts)
+        # the one table reads back, growths included, what each frame's own table does
+        alone = [final_pathset(frame, code, DecoderConfig("global", 4)) for frame in x]
+        assert np.array_equal(ps.traceback(np.arange(ps.size)),
+                              np.concatenate([p.traceback(np.arange(p.size)) for p in alone]))
         assert PathSet(x, code, DecoderConfig("global", 128)).positions.dtype == np.uint8
         # 2^15 paths a frame have 2^16 children: two bytes
         code = PacCode(4, 16, range(16), 0o3)
@@ -947,7 +983,11 @@ class TestBatch:
         # frames with shrinking cuts gathered whole, and 1,730 with the children's
         # penalties in an array of their own.  Rows of N/2 - 1 LLRs and unpacked sums,
         # charged rows and backpointers alone, gave SCL-32 6 frames (1,523 KiB), LVA-128
-        # 13 (1,594), VA 26 (1,613), LD32 and LVA32 52 (1,678 and 1,652)
+        # 13 (1,594), VA 26 (1,613), LD32 and LVA32 52 (1,678 and 1,652).  These batches
+        # read 1,512 (SCL-32), 1,546 (LVA-128), 1,558 (VA), 1,311 (LD32), 1,279 (LVA32) and
+        # 1,350 KiB (SCL-8), with stages n - 1 and n - 2 made where they are read; with the
+        # first half's and first quarter's blocks kept per frame, 1,646, 1,561, 1,588,
+        # 1,359, 1,327 and 1,566
         code = PacCode.rm(n, K, gen)
         frames = batch_size(SimPlan(code, config, (2.0,)))
         x = np.stack([make_trial(code, 2.0, np.random.default_rng(i))[1] for i in range(frames)])
@@ -997,8 +1037,8 @@ RULE_PAIRS = (("approximate", "min-sum"), ("exact", "exact"), ("exact", "min-sum
 
 
 class TestStageNMinusOne:
-    """Stage n - 1 is one block per frame before bit N/2 and rebuilt after it; stage n - 2
-    is one block per frame before bit N/4 and rebuilt after it."""
+    """Stages n - 1 and n - 2 are stored nowhere: the updates that read them make them from
+    the channel, one block per frame until the first g-update."""
 
     @pytest.mark.parametrize("metric, rule", RULE_PAIRS)
     @pytest.mark.parametrize("code", half_node_codes(), ids=node_code_id)
@@ -1015,15 +1055,8 @@ class TestStageNMinusOne:
 
             def hook(t, ps):
                 banks.append(ps.bank)
-                # rows of N/4 - 1 LLRs; the first half's stage n - 1 and the first
-                # quarter's stage n - 2 a block per frame each, apart from the rows and the
-                # channel
+                # rows of N/4 - 1 LLRs: stages n - 1 and n - 2 are not stored
                 assert ps.bank._llr_buf.shape == (ps.frames, per, max(N // 4 - 1, 0))
-                assert ps.bank._first.size == ps.frames * (N // 2)
-                assert ps.bank._quarter.size == ps.frames * (N // 4)
-                for rows in (ps.bank._llr_buf, ps.bank._beta_buf, ps.bank.channel):
-                    assert not np.shares_memory(ps.bank._first, rows)
-                    assert not np.shares_memory(ps.bank._quarter, rows)
 
             batch = decode(x, code, cfg, step_hook=hook)
             assert banks
@@ -1040,38 +1073,36 @@ class TestStageNMinusOne:
                                        atol=1e-12)
                     assert np.array_equal(one.d_hat, msgs[np.argmin(metrics)])
 
-    @pytest.mark.parametrize("frames", [1, 3])
-    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16])
-    @pytest.mark.parametrize("combining", ["min-sum", "exact"])
-    def test_first_half_block_is_one_per_frame(self, N, frames, combining, rng):
+    @staticmethod
+    def check_node_at_bit_0(N, frames, combining, below, rng):
+        """A node ``below`` stages under the channel (at most n: stage 0 where N is too
+        small), at bit 0 of a bank of 4 paths a frame, gives each path its frame's channel
+        LLRs after as many rounds of f over halves; rows stay N/4 - 1 LLRs wide."""
         llrs = rng.normal(0, 2, (frames, N))
         bank = ScBank(llrs if frames > 1 else llrs[0], combining, capacity=4 * frames)
-        h = N // 2
+        bank.take(np.repeat(np.arange(frames), 4))
+        assert bank.llr.shape[-1] == max(N // 4 - 1, 0)
         f = f_minsum if combining == "min-sum" else f_exact
-        assert bank._llr_buf.shape == (frames, 4, max(N // 4 - 1, 0))
-        assert np.array_equal(bank._first.reshape(frames, h), f(llrs[:, :h], llrs[:, h:2 * h]))
-        assert not np.shares_memory(bank._first, bank._llr_buf)
-        assert not np.shares_memory(bank._first, bank._beta_buf)
+        expect = llrs
+        for _ in range(min(below, bank.n)):
+            w = expect.shape[1] // 2
+            expect = f(expect[:, :w], expect[:, w:])
+        block = bank.update_llrs(bank.n - min(below, bank.n))
+        assert np.array_equal(block.reshape(4 * frames, -1), np.repeat(expect, 4, axis=0))
+
+    @pytest.mark.parametrize("frames", [1, 3])
+    @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 1024])
+    @pytest.mark.parametrize("combining", ["min-sum", "exact"])
+    def test_first_half_block_is_one_per_frame(self, N, frames, combining, rng):
+        # a node of N/2 bits at bit 0 reads f of the channel's halves for every path
+        self.check_node_at_bit_0(N, frames, combining, 1, rng)
 
     @pytest.mark.parametrize("frames", [1, 3])
     @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 1024])
     @pytest.mark.parametrize("combining", ["min-sum", "exact"])
     def test_first_quarter_block_is_one_per_frame(self, N, frames, combining, rng):
-        # f of the first-half block's halves, one per frame, in no row and not the channel;
-        # a node of N/4 bits at bit 0 reads it for every path of its frame
-        llrs = rng.normal(0, 2, (frames, N))
-        bank = ScBank(llrs if frames > 1 else llrs[0], combining, capacity=4 * frames)
-        h, q = N // 2, N // 4
-        f = f_minsum if combining == "min-sum" else f_exact
-        first = f(llrs[:, :h], llrs[:, h:2 * h])
-        assert np.array_equal(bank._quarter.reshape(frames, q), f(first[:, :q], first[:, q:2 * q]))
-        for rows in (bank._llr_buf, bank._beta_buf, bank.channel, bank._first):
-            assert not np.shares_memory(bank._quarter, rows)
-        if N >= 4:
-            bank.take(np.repeat(np.arange(frames), 4))
-            expect = np.repeat(f(first[:, :q], first[:, q:2 * q]), 4, axis=0)
-            block = bank.update_llrs(bank.n - 2)
-            assert np.array_equal(block if q > 1 else block[:, None], expect)
+        # a node of N/4 bits at bit 0 reads f of the halves of f of the channel's halves
+        self.check_node_at_bit_0(N, frames, combining, 2, rng)
 
     @pytest.mark.parametrize("N", [1, 2, 4, 8, 16, 64, 1024])
     def test_sums_read_back_unpacked(self, N, rng):

@@ -180,9 +180,10 @@ class TestRunPoint:
     def test_batch_size_fills_the_bank_bytes(self):
         # a batch holds at most 12 x 133,056 bytes, and 64 frames.  A frame holds, per path,
         # a bank row of N/4 - 1 LLRs and N - 1 partial sums (those of stages 3 and up as
-        # bits) and a column of K one-byte backpointers; the bank's channel copy and its
-        # first-half and first-quarter blocks; and 4 floats per parent and bit of its
-        # widest step.  SCL-32 on PAC(1024,512) takes 133,056 bytes a frame
+        # bits) and a column of K one-byte backpointers; 1.75 N floats for the bank's
+        # channel copy and the stage n - 1 and n - 2 blocks made from it; and 4 floats per
+        # parent and bit of its widest step.  SCL-32 on PAC(1024,512) takes 133,056 bytes a
+        # frame
         for (n, K, gen), name, list_size, frames in (
                 ((10, 512, 0o133), "scl", 32, 12), ((10, 512, 0o133), "scl", 8, 36),
                 ((10, 512, 0o133), "sc", None, 64), ((10, 512, 0o133), "lva", 2, 3),
